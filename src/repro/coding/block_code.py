@@ -22,10 +22,11 @@ requires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from functools import cached_property
+from typing import List, Sequence, Tuple
 
 from repro.coding.reed_solomon import DecodingError, ReedSolomonCode
-from repro.utils.bitstring import Symbol
+from repro.utils.bitstring import Symbol, pack_symbols
 
 __all__ = ["BinaryBlockCode", "DecodingError"]
 
@@ -72,7 +73,8 @@ class BinaryBlockCode:
         max_k = max(1, self.max_block_symbols // self.expansion)
         return min(self.message_symbols, max_k)
 
-    def _blocks(self) -> List[ReedSolomonCode]:
+    @cached_property
+    def _blocks(self) -> Tuple[ReedSolomonCode, ...]:
         """The RS code of every block, in order."""
         blocks: List[ReedSolomonCode] = []
         remaining = self.message_symbols
@@ -84,38 +86,16 @@ class BinaryBlockCode:
                 n = k + 1
             blocks.append(ReedSolomonCode(block_length=n, message_length=k))
             remaining -= k
-        return blocks
+        return tuple(blocks)
 
-    @property
+    @cached_property
     def codeword_bits(self) -> int:
         """Total number of bits in an encoded message."""
-        return sum(code.block_length for code in self._blocks()) * _BITS_PER_SYMBOL
+        return sum(code.block_length for code in self._blocks) * _BITS_PER_SYMBOL
 
     @property
     def rate(self) -> float:
         return self.message_bits / self.codeword_bits
-
-    # -- bit/symbol conversion -----------------------------------------------------
-
-    @staticmethod
-    def _bits_to_symbols(bits: Sequence[int], num_symbols: int) -> List[int]:
-        symbols = []
-        for index in range(num_symbols):
-            value = 0
-            for offset in range(_BITS_PER_SYMBOL):
-                position = index * _BITS_PER_SYMBOL + offset
-                if position < len(bits) and bits[position]:
-                    value |= 1 << offset
-            symbols.append(value)
-        return symbols
-
-    @staticmethod
-    def _symbols_to_bits(symbols: Sequence[int]) -> List[int]:
-        bits: List[int] = []
-        for symbol in symbols:
-            for offset in range(_BITS_PER_SYMBOL):
-                bits.append((symbol >> offset) & 1)
-        return bits
 
     # -- public API ------------------------------------------------------------------
 
@@ -123,14 +103,16 @@ class BinaryBlockCode:
         """Encode ``message_bits`` bits into ``codeword_bits`` bits."""
         if len(bits) != self.message_bits:
             raise ValueError(f"expected {self.message_bits} message bits, got {len(bits)}")
-        symbols = self._bits_to_symbols(bits, self.message_symbols)
-        out_bits: List[int] = []
+        # Bit i of the message is bit i of a little-endian int; its bytes are
+        # the RS message symbols (the last one zero-padded).
+        packed = int(bytes(bits[::-1]).translate(_ASCII_BITS), 2)
+        symbols = packed.to_bytes(self.message_symbols, "little")
+        codeword = bytearray()
         cursor = 0
-        for code in self._blocks():
-            block_message = symbols[cursor:cursor + code.message_length]
+        for code in self._blocks:
+            codeword += code.encode_bytes(symbols[cursor:cursor + code.message_length])
             cursor += code.message_length
-            out_bits.extend(self._symbols_to_bits(code.encode(block_message)))
-        return out_bits
+        return _bytes_to_bits(codeword)
 
     def decode(self, received: Sequence[Symbol]) -> List[int]:
         """Decode a received bit sequence (entries may be 0, 1 or ``None``).
@@ -139,28 +121,29 @@ class BinaryBlockCode:
         codeword is padded with erasures; extra symbols are ignored.  Raises
         :class:`DecodingError` if any block is beyond the correction radius.
         """
-        padded: List[Symbol] = list(received[: self.codeword_bits])
-        padded.extend([None] * (self.codeword_bits - len(padded)))
+        total_bits = self.codeword_bits
+        bits, present = pack_symbols(received[:total_bits])
+        # A byte with any missing bit is an erased RS symbol; missing bits read as 0.
+        word = bits.to_bytes(total_bits // _BITS_PER_SYMBOL, "little")
+        missing = (~present & ((1 << total_bits) - 1)).to_bytes(len(word), "little")
 
-        message_symbols: List[int] = []
-        bit_cursor = 0
-        for code in self._blocks():
-            block_bits = padded[bit_cursor:bit_cursor + code.block_length * _BITS_PER_SYMBOL]
-            bit_cursor += code.block_length * _BITS_PER_SYMBOL
-            word: List[int] = []
-            erasures: List[int] = []
-            for symbol_index in range(code.block_length):
-                value = 0
-                erased = False
-                for offset in range(_BITS_PER_SYMBOL):
-                    bit = block_bits[symbol_index * _BITS_PER_SYMBOL + offset]
-                    if bit is None:
-                        erased = True
-                    elif bit:
-                        value |= 1 << offset
-                word.append(value)
-                if erased:
-                    erasures.append(symbol_index)
-            message_symbols.extend(code.decode(word, erasure_positions=erasures))
-        all_bits = self._symbols_to_bits(message_symbols)
-        return all_bits[: self.message_bits]
+        message = bytearray()
+        cursor = 0
+        for code in self._blocks:
+            end = cursor + code.block_length
+            erased = missing[cursor:end]
+            erasures = [index for index, byte in enumerate(erased) if byte] if any(erased) else None
+            message += code.decode_bytes(word[cursor:end], erasures)
+            cursor = end
+        return _bytes_to_bits(message)[: self.message_bits]
+
+
+#: Maps a bit stored in a byte to the ASCII digit ``int(..., 2)`` reads.
+_ASCII_BITS = b"0" + b"1" * 255
+#: ``_BYTE_BITS[b]``: the 8 bits of ``b``, LSB first, one per byte.
+_BYTE_BITS = tuple(bytes((b >> offset) & 1 for offset in range(_BITS_PER_SYMBOL)) for b in range(256))
+
+
+def _bytes_to_bits(symbols: bytes) -> List[int]:
+    """Expand symbols to bits, LSB first within each symbol."""
+    return list(b"".join(map(_BYTE_BITS.__getitem__, symbols)))

@@ -9,6 +9,10 @@ The field is GF(2)[x] / (x^8 + x^4 + x^3 + x^2 + 1) (the 0x11D polynomial
 familiar from CCSDS / QR-code Reed–Solomon).  Multiplication and inversion go
 through log/antilog tables built once at import time from the generator
 element 2.
+
+For whole-vector work the module also exports :data:`MUL_ROWS`: row ``a`` is
+the 256-byte table of ``b -> a * b``, so ``vector.translate(MUL_ROWS[a])``
+scales every symbol of a byte vector by ``a`` in one C-level pass.
 """
 
 from __future__ import annotations
@@ -38,6 +42,21 @@ def _build_tables() -> tuple:
 
 
 _EXP, _LOG = _build_tables()
+
+
+def _build_mul_rows() -> tuple:
+    """Row ``a`` maps ``b`` to ``a * b``: ``exp[log a + log b]`` for ``b != 0``."""
+    exp_bytes = bytes(_EXP)
+    log_nonzero = bytes(_LOG[1:])
+    rows = [bytes(FIELD_SIZE)]
+    for a in range(1, FIELD_SIZE):
+        log_a = _LOG[a]
+        rows.append(b"\0" + log_nonzero.translate(exp_bytes[log_a:log_a + FIELD_SIZE]))
+    return tuple(rows)
+
+
+#: ``MUL_ROWS[a][b] == gf_mul(a, b)``; apply to a byte vector with ``bytes.translate``.
+MUL_ROWS = _build_mul_rows()
 
 
 def gf_add(a: int, b: int) -> int:

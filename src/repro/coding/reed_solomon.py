@@ -13,6 +13,11 @@ and declared erasures — the latter matter because a *deletion* on a
 synchronous, fully-scheduled exchange is perceived by the receiver as an
 erasure (paper §3.2, footnote 9).
 
+Encoding and syndromes are linear maps, so both run on whole byte vectors:
+each XORs precomputed per-``(n, k)`` rows (parity rows of the unit messages,
+syndrome columns ``alpha^(j * pos)``) scaled with ``bytes.translate`` through
+:data:`~repro.coding.gf256.MUL_ROWS`.
+
 The decoder follows the classical pipeline: syndromes → erasure locator →
 modified syndromes → Sugiyama (extended Euclidean) solution of the key
 equation → Chien search → Forney error values.  It corrects any pattern with
@@ -22,10 +27,12 @@ equation → Chien search → Forney error values.  It corrects any pattern with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.coding.gf256 import (
     GENERATOR,
+    MUL_ROWS,
     gf_div,
     gf_inv,
     gf_mul,
@@ -41,6 +48,57 @@ from repro.coding.gf256 import (
 
 class DecodingError(Exception):
     """Raised when a received word is not decodable within the code's radius."""
+
+
+class _CodeTables(NamedTuple):
+    generator: Tuple[int, ...]
+    #: Row i: the p parity symbols of the unit message e_i.
+    parity_rows: Tuple[bytes, ...]
+    #: Column pos: alpha^(j * pos) for j = 0..p-1.
+    syndrome_columns: Tuple[bytes, ...]
+
+
+@lru_cache(maxsize=None)
+def _code_tables(n: int, k: int) -> _CodeTables:
+    """Derived tables of RS(n, k), shared by every instance of that shape."""
+    parity = n - k
+    generator = [1]
+    for i in range(parity):
+        generator = poly_mul(generator, [gf_pow(GENERATOR, i), 1])
+    # g is monic, so x^p = g_low (mod g); then x^(p+i+1) = x * x^(p+i) (mod g).
+    feedback = bytes(generator[:parity])
+    remainder = feedback
+    parity_rows = []
+    for _ in range(k):
+        parity_rows.append(remainder)
+        top = remainder[-1]
+        shifted = int.from_bytes(remainder[:-1], "little") << 8
+        remainder = (
+            shifted ^ int.from_bytes(feedback.translate(MUL_ROWS[top]), "little")
+        ).to_bytes(parity, "little")
+    syndrome_columns = tuple(
+        bytes(gf_pow(GENERATOR, j * position) for j in range(parity))
+        for position in range(n)
+    )
+    return _CodeTables(tuple(generator), tuple(parity_rows), syndrome_columns)
+
+
+def _combine(rows: Sequence[bytes], scalars: bytes) -> int:
+    """XOR over i of ``scalars[i] * rows[i]``, packed little-endian into an int."""
+    acc = 0
+    for row, scalar in zip(rows, scalars):
+        if scalar:
+            acc ^= int.from_bytes(row.translate(MUL_ROWS[scalar]), "little")
+    return acc
+
+
+def _field_symbols(symbols: Sequence[int], what: str) -> bytes:
+    """``symbols`` as a byte vector; ``ValueError`` for anything outside GF(256)."""
+    try:
+        return bytes(symbols)
+    except ValueError:
+        bad = next(symbol for symbol in symbols if not 0 <= symbol < 256)
+        raise ValueError(f"{what} {bad} outside GF(256)") from None
 
 
 @dataclass(frozen=True)
@@ -81,10 +139,7 @@ class ReedSolomonCode:
 
     def generator_polynomial(self) -> List[int]:
         """g(x) = prod_{i=0}^{p-1} (x - alpha^i), low-degree-first."""
-        gen = [1]
-        for i in range(self.parity_length):
-            gen = poly_mul(gen, [gf_pow(GENERATOR, i), 1])
-        return gen
+        return list(_code_tables(self.block_length, self.message_length).generator)
 
     # -- encoding ---------------------------------------------------------------
 
@@ -94,19 +149,22 @@ class ReedSolomonCode:
         The codeword layout is ``[parity_0..parity_{p-1}, message_0..message_{k-1}]``
         viewed as coefficients of C(x) = M(x) * x^p + R(x).
         """
-        message = list(message)
+        return list(self.encode_bytes(_field_symbols(message, "message symbol")))
+
+    def encode_bytes(self, message: bytes) -> bytes:
+        """:meth:`encode` on a byte vector of exactly ``k`` symbols.
+
+        R(x) = M(x) * x^p mod g(x) is linear in M, so the parity is the XOR of
+        the precomputed parity rows of the unit messages, each scaled by its
+        message symbol.
+        """
         if len(message) != self.message_length:
             raise ValueError(
                 f"expected {self.message_length} message symbols, got {len(message)}"
             )
-        for symbol in message:
-            if not 0 <= symbol < 256:
-                raise ValueError(f"message symbol {symbol} outside GF(256)")
-        shifted = [0] * self.parity_length + message
-        _, remainder = poly_divmod(shifted, self.generator_polynomial())
-        remainder = list(remainder) + [0] * (self.parity_length - len(remainder))
-        codeword = remainder[: self.parity_length] + message
-        return codeword
+        tables = _code_tables(self.block_length, self.message_length)
+        parity = _combine(tables.parity_rows, message)
+        return parity.to_bytes(self.parity_length, "little") + message
 
     def extract_message(self, codeword: Sequence[int]) -> List[int]:
         """Read the systematic message symbols out of a codeword."""
@@ -118,20 +176,29 @@ class ReedSolomonCode:
 
     def syndromes(self, received: Sequence[int]) -> List[int]:
         """S_j = R(alpha^j) for j = 0..p-1."""
-        return [poly_eval(list(received), gf_pow(GENERATOR, j)) for j in range(self.parity_length)]
+        word = _field_symbols(received, "received symbol")
+        if len(word) != self.block_length:
+            raise ValueError("received word has the wrong length")
+        return list(self._packed_syndromes(word).to_bytes(self.parity_length, "little"))
 
     def decode(
         self,
         received: Sequence[int],
         erasure_positions: Optional[Sequence[int]] = None,
     ) -> List[int]:
-        """Correct a received word in place and return the decoded *message*.
+        """Correct a received word and return the decoded *message*.
 
         ``erasure_positions`` are codeword indices known to be unreliable
         (their symbol values are still taken from ``received``; callers
         typically fill them with 0).
         """
-        word = list(received)
+        word = _field_symbols(received, "received symbol")
+        return list(self.decode_bytes(word, erasure_positions))
+
+    def decode_bytes(
+        self, word: bytes, erasure_positions: Optional[Sequence[int]] = None
+    ) -> bytes:
+        """:meth:`decode` on a byte vector of exactly ``n`` symbols."""
         if len(word) != self.block_length:
             raise ValueError("received word has the wrong length")
         erasures = sorted(set(erasure_positions or ()))
@@ -141,14 +208,20 @@ class ReedSolomonCode:
         if len(erasures) > self.parity_length:
             raise DecodingError("more erasures than parity symbols")
 
-        synd = self.syndromes(word)
-        if all(s == 0 for s in synd):
-            return self.extract_message(word)
+        synd = self._packed_syndromes(word)
+        if not synd:
+            return word[self.parity_length:]
 
-        corrected = self._correct(word, synd, erasures)
-        if any(s != 0 for s in self.syndromes(corrected)):
+        synd_list = list(synd.to_bytes(self.parity_length, "little"))
+        corrected = bytes(self._correct(list(word), synd_list, erasures))
+        if self._packed_syndromes(corrected):
             raise DecodingError("residual syndromes after correction")
-        return self.extract_message(corrected)
+        return corrected[self.parity_length:]
+
+    def _packed_syndromes(self, word: bytes) -> int:
+        """All syndromes packed little-endian into one int (zero iff a codeword)."""
+        tables = _code_tables(self.block_length, self.message_length)
+        return _combine(tables.syndrome_columns, word)
 
     # -- internals ---------------------------------------------------------------
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.coding.gf256 import (
+    MUL_ROWS,
     gf_add,
     gf_div,
     gf_inv,
@@ -73,6 +74,11 @@ class TestFieldAxioms:
     def test_pow_of_zero(self):
         assert gf_pow(0, 0) == 1
         assert gf_pow(0, 5) == 0
+
+    def test_mul_rows_match_gf_mul_on_every_pair(self):
+        assert len(MUL_ROWS) == 256
+        for a, row in enumerate(MUL_ROWS):
+            assert row == bytes(gf_mul(a, b) for b in range(256))
 
 
 class TestPolynomials:

@@ -103,19 +103,52 @@ class TestDecoding:
             code.decode(word, erasure_positions=[0, 1, 2, 3, 4])
 
     def test_beyond_radius_raises_or_miscorrects(self):
-        code = ReedSolomonCode(10, 6)
-        message = [1, 2, 3, 4, 5, 6]
-        word = code.encode(message)
+        """Beyond the radius the decoder stays a bounded-distance decoder.
+
+        Either it raises, or the message it returns re-encodes to a codeword
+        c' with ``2 * |errors outside erasures| + |erasures| <= n - k``
+        against the received word.  Both outcomes must actually occur.
+        """
         rng = random.Random(0)
-        for position in range(6):
-            word[position] ^= rng.randrange(1, 256)
-        try:
-            decoded = code.decode(word)
-        except DecodingError:
-            return
-        # If it decodes, it must decode to a different codeword (list decoding
-        # is out of scope); either way the call must not loop or crash.
-        assert decoded != message or decoded == message
+        outcomes = set()
+        for trial in range(400):
+            n = rng.randrange(4, 40)
+            k = rng.randrange(1, n - 1)
+            code = ReedSolomonCode(n, k)
+            parity = n - k
+            word = code.encode([rng.randrange(256) for _ in range(k)])
+            num_erasures = rng.randrange(0, parity) if trial % 2 else 0
+            # The smallest error count that leaves the radius, or a few more.
+            least = (parity - num_erasures) // 2 + 1
+            num_errors = min(n - num_erasures, least + rng.randrange(0, 3))
+            positions = rng.sample(range(n), num_erasures + num_errors)
+            erasures = positions[:num_erasures]
+            for position in erasures:
+                word[position] = rng.randrange(256)
+            for position in positions[num_erasures:]:
+                word[position] ^= rng.randrange(1, 256)
+            try:
+                decoded = code.decode(word, erasure_positions=erasures)
+            except DecodingError:
+                outcomes.add("raised")
+                continue
+            outcomes.add("decoded")
+            nearest = code.encode(decoded)
+            erased = set(erasures)
+            errors = sum(
+                1 for position in range(n)
+                if position not in erased and nearest[position] != word[position]
+            )
+            assert 2 * errors + len(erasures) <= parity, (n, k, erasures, word, decoded)
+        assert outcomes == {"raised", "decoded"}
+
+    @pytest.mark.parametrize("symbol", [300, -1])
+    def test_decode_rejects_non_field_symbols(self, symbol):
+        code = ReedSolomonCode(10, 4)
+        word = code.encode([1, 2, 3, 4])
+        word[5] = symbol
+        with pytest.raises(ValueError, match="outside GF"):
+            code.decode(word)
 
     def test_wrong_length_rejected(self):
         code = ReedSolomonCode(10, 6)
