@@ -10,10 +10,9 @@ single-round phase windows, under a slot-addressed additive-oblivious pattern
 at the trial's nominal noise fraction.
 
 Shape we gate: the packed exchange must be at least **5× faster** than the
-PR-9-era reference path (the per-slot ``batched=False`` dispatch that
-``REFERENCE_ENGINE_CONFIG`` selects), while producing bit-identical
-``ChannelStats`` — the equivalence itself is pinned much harder by
-``tests/test_transport.py`` and the packed mode of
+single-slot reference ``exchange_window_per_slot`` (one ``transmit`` per
+slot), while producing bit-identical ``ChannelStats`` — the equivalence
+itself is pinned much harder by ``tests/test_transport.py`` and
 ``tests/test_phase_merge_fuzz.py``.  Plane packing on the sender side is
 *inside* the timed region: the gate covers the end-to-end cost of choosing
 the packed representation, not just the kernel.  The measurement is recorded
@@ -76,23 +75,19 @@ def _workload():
 
 
 def _per_slot_seconds(graph, pattern, dense, thin):
-    """The PR-9-era reference: one ``transmit`` per slot of every window."""
-    network = NoisyNetwork(
-        graph, adversary=AdditiveObliviousAdversary(pattern=pattern), batched=False
-    )
+    """The single-slot reference: one ``transmit`` per slot of every window."""
+    network = NoisyNetwork(graph, adversary=AdditiveObliviousAdversary(pattern=pattern))
     start = time.perf_counter()
     for iteration, window in enumerate(dense):
-        network.exchange_window(window, _DENSE_WINDOW, "meeting_points", iteration)
+        network.exchange_window_per_slot(window, _DENSE_WINDOW, "meeting_points", iteration)
         for messages in thin[iteration]:
-            network.exchange_window(messages, 1, "simulation", iteration)
+            network.exchange_window_per_slot(messages, 1, "simulation", iteration)
     return time.perf_counter() - start, network
 
 
 def _packed_seconds(graph, pattern, dense, thin):
     """The packed path: ``(bits, present)`` planes through one kernel per link."""
-    network = NoisyNetwork(
-        graph, adversary=AdditiveObliviousAdversary(pattern=pattern), batched=True
-    )
+    network = NoisyNetwork(graph, adversary=AdditiveObliviousAdversary(pattern=pattern))
     full = (1 << _DENSE_WINDOW) - 1
     start = time.perf_counter()
     for iteration, window in enumerate(dense):

@@ -7,8 +7,9 @@ guards: every benchmarked run must succeed.
 ``test_batched_window_transport_speedup`` pins the batched-transport win: it
 replays the exact window traffic of one noise-sweep cell (stochastic
 insertion/deletion/substitution noise at the nominal fraction) through both
-the batched and the single-slot transport paths, asserts bit-identical
-deliveries and statistics, and requires the batched path to be ≥3× faster.
+the batched ``exchange_window`` and the single-slot reference
+``exchange_window_per_slot``, asserts bit-identical deliveries and
+statistics, and requires the batched path to be ≥3× faster.
 Its wall clock is persisted like every other benchmark, so
 ``benchmarks/check_perf_regression.py`` gates the batched numbers session
 over session.
@@ -21,12 +22,12 @@ import time
 import pytest
 
 from repro.adversary.strategies import RandomNoiseAdversary
-from repro.core.config import DEFAULT_ENGINE_CONFIG
 from repro.core.engine import InteractiveCodingSimulator, simulate
 from repro.core.parameters import algorithm_a, algorithm_b, algorithm_c, crs_oblivious_scheme
 from repro.experiments.factories import RandomNoiseFactory
 from repro.experiments.workloads import aggregation_workload, gossip_workload
 from repro.network.transport import NoisyNetwork
+from repro.utils.bitstring import unpack_symbols
 
 
 @pytest.mark.parametrize(
@@ -84,17 +85,13 @@ def test_batched_window_transport_speedup(benchmark, run_once):
     factory = RandomNoiseFactory(fraction=fraction)
 
     # Capture the cell's window-exchange workload from one real trial.  The
-    # capture profile routes every window through ``exchange_window`` (the
-    # default profile's packed/merged dispatches would bypass the spy and
-    # starve the replay of the dense meeting-points windows this gate is
-    # about; the packed layer has its own gate in
-    # ``test_bench_packed_transport.py``).
-    capture_config = DEFAULT_ENGINE_CONFIG.with_overrides(packed=False, merge_phases=False)
+    # packed meeting-points windows are unpacked to symbol sequences, so the
+    # dense 4τ-round windows this gate is about stay in the replay (the packed
+    # layer has its own gate in ``test_bench_packed_transport.py``).
     captured = []
-    sim = InteractiveCodingSimulator(
-        workload.protocol, scheme=scheme, adversary=factory(0), seed=0, config=capture_config
-    )
+    sim = InteractiveCodingSimulator(workload.protocol, scheme=scheme, adversary=factory(0), seed=0)
     original = sim.network.exchange_window
+    original_packed = sim.network.exchange_window_packed
 
     def spy(messages, window_rounds, phase, iteration=-1, sparse=False):
         captured.append(
@@ -102,15 +99,28 @@ def test_batched_window_transport_speedup(benchmark, run_once):
         )
         return original(messages, window_rounds, phase, iteration, sparse=sparse)
 
+    def packed_spy(messages, window_rounds, phase, iteration=-1, sparse=False):
+        captured.append((
+            {
+                link: unpack_symbols(bits, present, window_rounds)
+                for link, (bits, present) in messages.items()
+            },
+            window_rounds,
+            phase,
+            iteration,
+        ))
+        return original_packed(messages, window_rounds, phase, iteration, sparse=sparse)
+
     sim.network.exchange_window = spy
+    sim.network.exchange_window_packed = packed_spy
     assert sim.run().success
     assert captured, "the trial exchanged no windows?"
 
     def replay(batched):
         network = NoisyNetwork(workload.graph, adversary=factory(1))
-        network.batched = batched
+        exchange = network.exchange_window if batched else network.exchange_window_per_slot
         deliveries = [
-            network.exchange_window(messages, window_rounds, phase, iteration)
+            exchange(messages, window_rounds, phase, iteration)
             for messages, window_rounds, phase, iteration in captured
         ]
         return deliveries, network.stats, network.current_round
@@ -132,30 +142,23 @@ def test_batched_window_transport_speedup(benchmark, run_once):
 
 
 def test_simulate_noise_sweep_cell_end_to_end(benchmark, run_once):
-    """Whole-trial wall clock of the same noise-sweep cell (batched path).
+    """Whole-trial wall clock of the same noise-sweep cell.
 
     Complements the transport replay above: this is the end-to-end number a
     sweep user sees, where hashing and protocol logic share the bill with the
-    transport.  The per-slot end-to-end time is recorded in ``extra_info``
-    for context (no hard ratio — Amdahl caps it well below the transport-only
-    speedup).
+    transport.
     """
     workload = gossip_workload(topology="clique", num_nodes=8, phases=6, seed=0)
     scheme = crs_oblivious_scheme()
     fraction = scheme.nominal_noise_fraction(workload.graph)
     factory = RandomNoiseFactory(fraction=fraction)
 
-    def run_cell(batched):
+    def run_cell():
         successes = 0
         for seed in range(3):
-            sim = InteractiveCodingSimulator(
-                workload.protocol, scheme=scheme, adversary=factory(seed), seed=seed
-            )
-            sim.network.batched = batched
-            successes += 1 if sim.run().success else 0
+            result = simulate(workload.protocol, scheme=scheme, adversary=factory(seed), seed=seed)
+            successes += 1 if result.success else 0
         return successes
 
-    per_slot_seconds, per_slot_successes = _best_of(lambda: run_cell(False), repetitions=2)
-    successes = run_once(benchmark, run_cell, True)
-    assert successes == per_slot_successes == 3
-    benchmark.extra_info["per_slot_seconds"] = round(per_slot_seconds, 6)
+    successes = run_once(benchmark, run_cell)
+    assert successes == 3

@@ -39,7 +39,6 @@ from repro.adversary.base import Adversary, NoiselessAdversary
 from repro.analysis.metrics import RunMetrics
 from repro.analysis.potential import PotentialTrace, compute_snapshot
 from repro.core.chunking import ChunkedProtocol
-from repro.core.config import DEFAULT_ENGINE_CONFIG, EngineConfig, warn_legacy_engine_switch
 from repro.core.meeting_points import (
     _RAW_INPUT_CAP_BITS,
     STATUS_MEETING_POINTS,
@@ -97,12 +96,6 @@ class InteractiveCodingSimulator:
         scheme: Optional[SchemeParameters] = None,
         adversary: Optional[Adversary] = None,
         seed: int = 0,
-        config: Optional[EngineConfig] = None,
-        *,
-        fast_hashing: Optional[bool] = None,
-        batch_rounds: Optional[bool] = None,
-        merge_phases: Optional[bool] = None,
-        batched: Optional[bool] = None,
     ) -> None:
         self.protocol = protocol
         self.graph: Graph = protocol.graph
@@ -110,62 +103,10 @@ class InteractiveCodingSimulator:
         self.adversary = adversary if adversary is not None else NoiselessAdversary()
         self.seed = seed
 
-        if config is None:
-            config = DEFAULT_ENGINE_CONFIG
-        # Legacy per-switch keywords: honoured, but deprecated in favour of
-        # one EngineConfig (each spelling warns once per process).
-        legacy = {
-            "fast_hashing": fast_hashing,
-            "batch_rounds": batch_rounds,
-            "merge_phases": merge_phases,
-            "batched": batched,
-        }
-        overrides = {}
-        for name, value in legacy.items():
-            if value is None:
-                continue
-            field = "batched_transport" if name == "batched" else name
-            warn_legacy_engine_switch(name, field)
-            overrides[field] = value
-        if overrides:
-            config = config.with_overrides(**overrides)
-        #: The execution configuration this simulator was built with.  The
-        #: switches below are copied out as plain *mutable* attributes rather
-        #: than read from the frozen config (or from scheme fields) for two
-        #: reasons: trial fingerprints (and therefore result caches) must be
-        #: unaffected — every configuration is bit-identical, pinned by the
-        #: equivalence suites — and tests/benchmarks flip individual switches
-        #: on a live simulator.
-        self.config = config
-        #: Batched meeting-points hashing (seeds_for_iteration + digest_many
-        #: + packed digests) instead of per-call derivation.
-        self.fast_hashing = config.fast_hashing
-        #: Engine-side window scheduling: sparse exchange_window dispatch for
-        #: rounds that transmit on a handful of links, plus one-call clock
-        #: advancement over provably idle round spans.  Bit-identical to the
-        #: round-by-round schedule (same adversary calls in the same order).
-        self.batch_rounds = config.batch_rounds
-        #: Whole-phase round merging: when the adversary honours the
-        #: slot-addressed contract
-        #: (:attr:`~repro.adversary.base.Adversary.slot_addressed`), the
-        #: flag-passing / simulation / rewind phases each become one
-        #: :meth:`~repro.network.transport.NoisyNetwork.exchange_phase`
-        #: dispatch instead of one dispatch per round.  Bit-identical to the
-        #: lockstep schedule in deliveries, statistics and round accounting
-        #: (pinned by tests/test_phase_merge_fuzz.py); silently ignored for
-        #: stateful adversaries, which truthfully report
-        #: ``slot_addressed=False``.
-        self.merge_phases = config.merge_phases
-        #: Packed-plane hot path: the meeting-points exchange travels as
-        #: ``(bits, present)`` integer planes through
-        #: :meth:`~repro.network.transport.NoisyNetwork.exchange_window_packed`
-        #: (one ``corrupt_window_packed`` kernel call and O(1)-popcount
-        #: accounting per link) instead of per-slot symbol sequences.
-        self.packed = config.packed
         #: The ambient observability context, captured once (a plain
-        #: attribute, for the same fingerprint-invisibility reason).  With the
+        #: attribute, so trial fingerprints never see it).  With the
         #: default disabled context the per-run cost is one attribute read and
-        #: one branch; the iteration loop body is untouched.
+        #: one branch per phase.
         self._obs = get_obs()
 
         self.scale_k = self.scheme.scale_k(self.graph)
@@ -176,9 +117,7 @@ class InteractiveCodingSimulator:
         )
         self.hasher = InnerProductHash(self.scheme.hash_output_bits(self.graph))
         self.tree = SpanningTree(self.graph, root=0)
-        self.network = NoisyNetwork(
-            self.graph, adversary=self.adversary, batched=config.batched_transport
-        )
+        self.network = NoisyNetwork(self.graph, adversary=self.adversary)
         self.runtimes: Dict[int, PartyRuntime] = {}
         self.iterations_budget = self.scheme.iterations(self.chunked.num_real_chunks)
         self._counters: Dict[str, int] = {
@@ -204,15 +143,7 @@ class InteractiveCodingSimulator:
         iterations_run = 0
         for iteration in range(self.iterations_budget):
             iterations_run = iteration + 1
-            if tracer is None and phase_rounds is None:
-                self._meeting_points_phase(iteration)
-                self._compute_status_flags()
-                self._flag_passing_phase(iteration)
-                self._simulation_phase(iteration)
-                if self.scheme.enable_rewind_phase:
-                    self._rewind_phase(iteration)
-            else:
-                self._run_iteration_observed(iteration, tracer, phase_rounds)
+            self._run_iteration(iteration, tracer, phase_rounds)
             if trace is not None or recorder is not None:
                 snapshot = compute_snapshot(
                     self.graph, self._all_transcripts(), iteration, self.scale_k
@@ -251,19 +182,20 @@ class InteractiveCodingSimulator:
             randomness_exchange_agreed=dict(self._randomness_agreed),
         )
 
-    # ------------------------------------------------------ observability --
+    # ------------------------------------------------------------ iteration --
 
-    def _run_iteration_observed(
+    def _run_iteration(
         self,
         iteration: int,
         tracer: Optional[Tracer],
         phase_rounds: Optional[Dict[str, int]],
     ) -> None:
-        """One iteration of the main loop with spans and per-phase round counts.
+        """One iteration of Algorithm 1: phases (i)-(iv).
 
-        A separate mirror of the loop body so the unobserved path stays free
-        of context managers and conditionals; bit-identical to it (spans and
-        counters never touch the schedule, the adversary or any RNG).
+        Every phase runs through :meth:`_observed_phase`, the one place that
+        opens spans and counts phase rounds.  Spans and counters never touch
+        the schedule, the adversary or any RNG, so results are bit-identical
+        with observation on or off.
         """
         scope = tracer.span("iteration", iteration=iteration) if tracer is not None else nullcontext()
         with scope:
@@ -298,7 +230,7 @@ class InteractiveCodingSimulator:
         (a single lock acquisition), fed from the plain integer counters the
         hot paths maintained: engine diagnostics, transport dispatch shapes,
         :class:`~repro.network.channel.ChannelStats` totals, hashing-session
-        build paths and seed-source derivations, and the adversary's budget
+        builds and seed-source derivations, and the adversary's budget
         consumption when it has one.
         """
         network = self.network
@@ -329,16 +261,14 @@ class InteractiveCodingSimulator:
             counters[f"transport.transmissions.{phase}"] = count
         for phase, count in stats.corruptions_by_phase.items():
             counters[f"transport.corruptions.{phase}"] = count
-        fast_builds = reference_builds = truncations = resets = derivations = 0
+        builds = truncations = resets = derivations = 0
         for runtime in self.runtimes.values():
             for session in runtime.sessions.values():
-                fast_builds += session.fast_builds
-                reference_builds += session.reference_builds
+                builds += session.builds
                 truncations += session.truncations
                 resets += session.resets
                 derivations += getattr(session.seed_source, "derivations", 0)
-        counters["hashing.packed_builds"] = fast_builds
-        counters["hashing.reference_builds"] = reference_builds
+        counters["hashing.packed_builds"] = builds
         counters["hashing.session_truncations"] = truncations
         counters["hashing.session_resets"] = resets
         counters["hashing.seed_derivations"] = derivations
@@ -362,7 +292,6 @@ class InteractiveCodingSimulator:
                     hasher=self.hasher,
                     seed_source=seed_sources[(party, v)],
                     hash_input_mode=self.scheme.hash_input_mode,
-                    fast_hashing=self.fast_hashing,
                     recorder=recorder,
                     link=link_label(party, v),
                 )
@@ -417,40 +346,15 @@ class InteractiveCodingSimulator:
     # ------------------------------------------------- phase (i): meeting points --
 
     def _meeting_points_phase(self, iteration: int) -> None:
-        # One dense window per directed link: every session contributes its
-        # four concatenated hashes, and the whole network-wide exchange is a
-        # single batched window transmission.
-        if self.packed:
-            self._meeting_points_phase_packed(iteration)
-            return
-        window = 4 * self.hasher.output_bits
-        messages: Dict[Tuple[int, int], List[int]] = {}
-        for runtime in self.runtimes.values():
-            for neighbor in runtime.neighbors():
-                session = runtime.sessions[neighbor]
-                messages[(runtime.party, neighbor)] = session.build_message(
-                    iteration, runtime.transcripts[neighbor]
-                )
-        delivered = self.network.exchange_window(messages, window, "meeting_points", iteration)
-        for runtime in self.runtimes.values():
-            for neighbor in runtime.neighbors():
-                session = runtime.sessions[neighbor]
-                transcript = runtime.transcripts[neighbor]
-                outcome = session.process_reply(iteration, transcript, delivered[(neighbor, runtime.party)])
-                self._apply_mp_outcome(iteration, runtime, neighbor, transcript, outcome)
+        """Phase (i): one dense 4τ-slot window per directed link.
 
-    def _meeting_points_phase_packed(self, iteration: int) -> None:
-        """Phase (i) on the packed hot path.
-
-        Same exchange, carried as integer planes: each session's 4τ-bit hash
-        message is one packed integer (every slot present), the transport's
-        :meth:`~repro.network.transport.NoisyNetwork.exchange_window_packed`
-        runs one ``corrupt_window_packed`` kernel per directed link, and the
+        Each session's four concatenated hashes travel as one packed integer
+        (every slot present) through
+        :meth:`~repro.network.transport.NoisyNetwork.exchange_window_packed`,
+        which runs one ``corrupt_window_packed`` kernel per directed link; the
         reply planes feed
         :meth:`~repro.core.meeting_points.MeetingPointsSession.process_reply_packed`
-        directly — no per-slot symbol lists anywhere.  Bit-identical to the
-        symbol-sequence phase above for every stock adversary
-        (``tests/test_hashing_equivalence.py``/``tests/test_transport.py`` pin this).
+        directly — no per-slot symbol lists anywhere.
         """
         window = 4 * self.hasher.output_bits
         full = (1 << window) - 1
@@ -517,8 +421,17 @@ class InteractiveCodingSimulator:
     # ------------------------------------------------- phase (ii): flag passing --
 
     def _use_merged_phases(self) -> bool:
-        """Whole-phase merging is on and the adversary's contract permits it."""
-        return self.merge_phases and self.adversary.slot_addressed
+        """Whether the adversary's contract permits whole-phase merging.
+
+        A slot-addressed adversary
+        (:attr:`~repro.adversary.base.Adversary.slot_addressed`) lets the
+        flag-passing, simulation and rewind phases each run as one
+        :meth:`~repro.network.transport.NoisyNetwork.exchange_phase` dispatch;
+        stateful adversaries truthfully report ``False`` and get the lockstep
+        phases.  Both schedules are bit-identical in deliveries, statistics
+        and round accounting (pinned by ``tests/test_phase_merge_fuzz.py``).
+        """
+        return self.adversary.slot_addressed
 
     def _flag_passing_phase(self, iteration: int) -> None:
         if not self.scheme.enable_flag_passing:
@@ -540,7 +453,6 @@ class InteractiveCodingSimulator:
         # what the previous (deeper) level *delivered* — so each level is one
         # width-1 window; sparse dispatch keeps the cost proportional to the
         # level's population instead of the whole link set.
-        sparse = self.batch_rounds
         for level in range(depth, 1, -1):
             messages: Dict[Tuple[int, int], List[int]] = {}
             for node in self.graph.nodes:
@@ -548,7 +460,7 @@ class InteractiveCodingSimulator:
                     parent = self.tree.parent[node]
                     messages[(node, parent)] = [up_value[node]]
             delivered = self.network.exchange_window(
-                messages, 1, "flag_passing", iteration, sparse=sparse
+                messages, 1, "flag_passing", iteration, sparse=True
             )
             for node in self.graph.nodes:
                 if self.tree.level[node] == level:
@@ -566,7 +478,7 @@ class InteractiveCodingSimulator:
                     for child in self.tree.children[node]:
                         messages[(node, child)] = [down_value[node]]
             delivered = self.network.exchange_window(
-                messages, 1, "flag_passing", iteration, sparse=sparse
+                messages, 1, "flag_passing", iteration, sparse=True
             )
             for node in self.graph.nodes:
                 if self.tree.level[node] == level + 1:
@@ -630,7 +542,6 @@ class InteractiveCodingSimulator:
         if self._use_merged_phases():
             self._simulation_phase_merged(iteration)
             return
-        sparse = self.batch_rounds
         # Round 0: parties that should not simulate send ⊥ (encoded as a 1) to
         # every neighbour; everyone listens.
         bot_messages: Dict[Tuple[int, int], List[int]] = {}
@@ -639,7 +550,7 @@ class InteractiveCodingSimulator:
                 for neighbor in runtime.neighbors():
                     bot_messages[(runtime.party, neighbor)] = [1]
         delivered = self.network.exchange_window(
-            bot_messages, 1, "simulation", iteration, sparse=sparse
+            bot_messages, 1, "simulation", iteration, sparse=True
         )
         bot_from: Dict[int, Set[int]] = {party: set() for party in self.graph.nodes}
         for (sender, receiver), symbols in delivered.items():
@@ -670,7 +581,7 @@ class InteractiveCodingSimulator:
             }
 
         window = self.chunked.max_chunk_rounds()
-        if self.batch_rounds and not workspaces and not self.adversary.may_insert:
+        if not workspaces and not self.adversary.may_insert:
             # No party simulates anything this phase and the adversary cannot
             # insert: every one of the window's rounds is provably silent, so
             # the whole span collapses into one clock advancement (the
@@ -704,7 +615,7 @@ class InteractiveCodingSimulator:
                 self.network.idle_rounds_collapsed += 1
                 continue
             delivered = self.network.exchange_window(
-                messages, 1, "simulation", iteration, sparse=sparse
+                messages, 1, "simulation", iteration, sparse=True
             )
             for party, links in active.items():
                 if not links:
@@ -854,7 +765,6 @@ class InteractiveCodingSimulator:
             for party, runtime in self.runtimes.items()
         }
         rounds = self.scheme.rewind_round_count(self.graph)
-        sparse = self.batch_rounds
         recorder = self._obs.recorder
         for round_index in range(rounds):
             messages: Dict[Tuple[int, int], List[int]] = {}
@@ -880,21 +790,17 @@ class InteractiveCodingSimulator:
                                 depth=len(runtime.transcripts[neighbor]),
                             )
             if not messages and not self.adversary.may_insert:
-                if self.batch_rounds:
-                    # Quiescent tail: with nothing sent and nothing insertable,
-                    # nothing was delivered, so the state feeding the next
-                    # round's message computation (transcripts, `already`
-                    # flags) is unchanged — every remaining round is provably
-                    # identical to this one.  Advance the clock over the whole
-                    # tail in one call instead of one empty round at a time.
-                    self.network.advance_rounds(rounds - round_index)
-                    self.network.idle_rounds_collapsed += rounds - round_index
-                    return
-                self.network.advance_rounds(1)
-                self.network.idle_rounds_collapsed += 1
-                continue
+                # Quiescent tail: with nothing sent and nothing insertable,
+                # nothing was delivered, so the state feeding the next round's
+                # message computation (transcripts, `already` flags) is
+                # unchanged — every remaining round is provably identical to
+                # this one.  Advance the clock over the whole tail in one call
+                # instead of one empty round at a time.
+                self.network.advance_rounds(rounds - round_index)
+                self.network.idle_rounds_collapsed += rounds - round_index
+                return
             delivered = self.network.exchange_window(
-                messages, 1, "rewind", iteration, sparse=sparse
+                messages, 1, "rewind", iteration, sparse=True
             )
             for runtime in self.runtimes.values():
                 party = runtime.party
@@ -1060,9 +966,6 @@ def simulate(
     scheme: Optional[SchemeParameters] = None,
     adversary: Optional[Adversary] = None,
     seed: int = 0,
-    config: Optional[EngineConfig] = None,
 ) -> SimulationResult:
     """Convenience wrapper: build a simulator and run it once."""
-    return InteractiveCodingSimulator(
-        protocol, scheme=scheme, adversary=adversary, seed=seed, config=config
-    ).run()
+    return InteractiveCodingSimulator(protocol, scheme=scheme, adversary=adversary, seed=seed).run()

@@ -27,33 +27,25 @@ A single exchange costs ``3τ`` bits per direction, τ being the hash output
 length, so a consistency phase over the whole network costs Θ(τ·m) bits, as
 required for the constant-rate accounting.
 
-Two hashing paths produce the wire messages:
-
-* the **fast path** (default): one batched
-  :meth:`~repro.hashing.seeds.SeedSource.seeds_for_iteration` call per
-  iteration, the three prefix digests computed in one
-  :meth:`~repro.hashing.inner_product.InnerProductHash.digest_many` pass over
-  the shared seed, and digests kept as packed integers end to end (one
-  ``int_to_bits`` per outgoing message, no per-digest tuple churn);
-* the **reference path** (``fast_hashing=False``): the original per-call
-  derivation — one ``seed_for`` per hash, one ``digest`` per value, bit-tuple
-  internals.
-
-Both paths emit identical wire bits and make identical decisions — pinned by
-``tests/test_hashing_equivalence.py`` over random transcripts, seeds and
-corrupted replies.
+The wire message is built by one batched
+:meth:`~repro.hashing.seeds.SeedSource.seeds_for_iteration` call per
+iteration, the three prefix digests computed in one
+:meth:`~repro.hashing.inner_product.InnerProductHash.digest_many` pass over
+the shared seed, and digests kept as packed integers end to end.
+:func:`per_call_message` keeps the original per-call derivation — one
+``seed_for`` per hash, one ``digest`` per value — as the reference oracle
+that ``tests/test_hashing_equivalence.py`` compares the session with over
+random transcripts, seeds and corrupted replies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.transcript import LinkTranscript
 from repro.hashing.inner_product import FINGERPRINT_BITS, InnerProductHash
 from repro.hashing.seeds import SeedLayout, SeedSource, seed_layout
-from repro.network.channel import Symbol
-from repro.utils.bitstring import int_to_bits, unpack_symbols
 
 STATUS_SIMULATE = "simulate"
 STATUS_MEETING_POINTS = "meeting points"
@@ -62,11 +54,6 @@ STATUS_MEETING_POINTS = "meeting points"
 _COUNTER_BITS = 32
 #: Maximum raw-serialisation width (bits) before falling back to fingerprints.
 _RAW_INPUT_CAP_BITS = 4096
-
-#: A stored digest: packed integer on the fast path, bit tuple on the
-#: reference path.  Both support the equality/membership tests the decision
-#: logic performs.
-_Digest = Union[int, Tuple[int, ...]]
 
 
 @dataclass
@@ -88,10 +75,6 @@ class MeetingPointsSession:
     hasher: InnerProductHash
     seed_source: SeedSource
     hash_input_mode: str = "fingerprint"
-    #: Route hashing through the batched fast path (seeds_for_iteration +
-    #: digest_many + packed digests).  ``False`` selects the original per-call
-    #: reference path; the two are bit-identical on the wire.
-    fast_hashing: bool = True
 
     k: int = 0
     error_count: int = 0
@@ -102,10 +85,9 @@ class MeetingPointsSession:
     #: Diagnostics accumulated over the whole run.
     truncations: int = 0
     resets: int = 0
-    #: How many hash messages each construction path produced (``repro.obs``;
-    #: plain increments, flushed into the metrics registry by the engine).
-    fast_builds: int = 0
-    reference_builds: int = 0
+    #: How many hash messages this session built (``repro.obs``; a plain
+    #: increment, flushed into the metrics registry by the engine).
+    builds: int = 0
 
     #: Optional flight recorder (``repro.obs.recorder``) plus the directed
     #: link this session guards, attached by the engine when forensics are
@@ -120,11 +102,11 @@ class MeetingPointsSession:
     _mp1: int = 0
     _mp2: int = 0
     _k_tilde: int = 1
-    _own_counter_hash: _Digest = ()
-    _own_full_hash: _Digest = ()
-    _own_mp1_hash: _Digest = ()
-    _own_mp2_hash: _Digest = ()
-    #: Interned per-input-width seed layouts (fast path only).
+    _own_counter_hash: int = -1
+    _own_full_hash: int = -1
+    _own_mp1_hash: int = -1
+    _own_mp2_hash: int = -1
+    #: Interned per-input-width seed layouts.
     _layouts: Dict[int, SeedLayout] = field(default_factory=dict, repr=False)
 
     # -- message construction ----------------------------------------------------
@@ -140,64 +122,25 @@ class MeetingPointsSession:
         """
         return 4 * self.hasher.output_bits
 
-    def build_message(self, iteration: int, transcript: LinkTranscript) -> List[int]:
-        """Advance ``k`` and produce this phase's outgoing hash message."""
-        length = self._advance(transcript)
-        if self.fast_hashing:
-            self.fast_builds += 1
-            combined = self._build_message_fast(iteration, transcript, length)
-            return int_to_bits(combined, 4 * self.hasher.output_bits)
-        self.reference_builds += 1
-        return self._build_message_reference(iteration, transcript, length)
-
     def build_message_packed(self, iteration: int, transcript: LinkTranscript) -> int:
-        """Packed variant of :meth:`build_message`: the same wire bits as one
+        """Advance ``k`` and produce this phase's outgoing hash message as one
         integer (bit ``i`` of the result is wire bit ``i``)."""
-        length = self._advance(transcript)
-        if self.fast_hashing:
-            self.fast_builds += 1
-            return self._build_message_fast(iteration, transcript, length)
-        self.reference_builds += 1
-        value = 0
-        for offset, bit in enumerate(self._build_message_reference(iteration, transcript, length)):
-            if bit:
-                value |= 1 << offset
-        return value
-
-    def _advance(self, transcript: LinkTranscript) -> int:
-        """Advance ``k`` and recompute this phase's meeting points."""
         self.k += 1
         self._k_tilde = 1 << (self.k - 1).bit_length()
         length = transcript.num_chunks
         self._mp1 = self._k_tilde * (length // self._k_tilde)
         self._mp2 = max(self._mp1 - self._k_tilde, 0)
-        return length
+        self.builds += 1
+        return self._build_message(iteration, transcript, length)
 
-    def _build_message_reference(
-        self, iteration: int, transcript: LinkTranscript, length: int
-    ) -> List[int]:
-        """The original per-call derivation (``fast_hashing=False``)."""
-        self._own_counter_hash = self._hash_counter(iteration, self.k)
-        self._own_full_hash = self._hash_prefix(iteration, transcript, length)
-        self._own_mp1_hash = self._hash_prefix(iteration, transcript, self._mp1)
-        self._own_mp2_hash = self._hash_prefix(iteration, transcript, self._mp2)
-        return (
-            list(self._own_counter_hash)
-            + list(self._own_full_hash)
-            + list(self._own_mp1_hash)
-            + list(self._own_mp2_hash)
-        )
-
-    def _build_message_fast(
-        self, iteration: int, transcript: LinkTranscript, length: int
-    ) -> int:
-        """The batched path: one seed derivation, one multi-value digest pass."""
+    def _build_message(self, iteration: int, transcript: LinkTranscript, length: int) -> int:
+        """One seed derivation, one multi-value digest pass."""
         hasher = self.hasher
         tau = hasher.output_bits
         values: List[int] = []
         widths: List[int] = []
         for num_chunks in (length, self._mp1, self._mp2):
-            value, input_bits = self._prefix_hash_input(transcript, num_chunks)
+            value, input_bits = _prefix_hash_input(transcript, num_chunks, self.hash_input_mode)
             values.append(value)
             widths.append(input_bits)
         counter_value = self.k & ((1 << _COUNTER_BITS) - 1)
@@ -251,26 +194,6 @@ class MeetingPointsSession:
 
     # -- reply processing ---------------------------------------------------------
 
-    def process_reply(
-        self,
-        iteration: int,
-        transcript: LinkTranscript,
-        received: Sequence[Symbol],
-    ) -> MeetingPointsOutcome:
-        """Digest the other side's hashes and decide status / truncation."""
-        tau = self.hasher.output_bits
-        if self.fast_hashing:
-            their_counter: Optional[_Digest] = self._clean_group_packed(received, 0, tau)
-            their_full: Optional[_Digest] = self._clean_group_packed(received, tau, tau)
-            their_mp1: Optional[_Digest] = self._clean_group_packed(received, 2 * tau, tau)
-            their_mp2: Optional[_Digest] = self._clean_group_packed(received, 3 * tau, tau)
-        else:
-            their_counter = self._clean_group(received, 0, tau)
-            their_full = self._clean_group(received, tau, tau)
-            their_mp1 = self._clean_group(received, 2 * tau, tau)
-            their_mp2 = self._clean_group(received, 3 * tau, tau)
-        return self._decide(iteration, their_counter, their_full, their_mp1, their_mp2)
-
     def process_reply_packed(
         self,
         iteration: int,
@@ -278,20 +201,14 @@ class MeetingPointsSession:
         bits: int,
         present: int,
     ) -> MeetingPointsOutcome:
-        """Packed variant of :meth:`process_reply`.
+        """Digest the other side's hashes and decide status / truncation.
 
         ``(bits, present)`` are the delivered planes of the 4τ-slot reply
         window (:func:`~repro.utils.bitstring.pack_symbols` convention).  A
-        hash group is usable only when *all* of its ``present`` bits are set,
-        exactly like the ``None``-scan of the symbol path.
+        hash group is usable only when *all* of its ``present`` bits are set:
+        one missing symbol voids the whole hash.
         """
         tau = self.hasher.output_bits
-        if not self.fast_hashing:
-            # The reference path stores digests as bit tuples; route through
-            # the symbol-sequence extraction to compare like with like.
-            return self.process_reply(
-                iteration, transcript, unpack_symbols(bits, present, 4 * tau)
-            )
         mask = (1 << tau) - 1
         groups: List[Optional[int]] = []
         for index in range(4):
@@ -306,10 +223,10 @@ class MeetingPointsSession:
     def _decide(
         self,
         iteration: int,
-        their_counter: Optional[_Digest],
-        their_full: Optional[_Digest],
-        their_mp1: Optional[_Digest],
-        their_mp2: Optional[_Digest],
+        their_counter: Optional[int],
+        their_full: Optional[int],
+        their_mp1: Optional[int],
+        their_mp2: Optional[int],
     ) -> MeetingPointsOutcome:
         """The shared decision logic: compare digests, update the search state."""
         outcome = MeetingPointsOutcome(status=STATUS_MEETING_POINTS)
@@ -405,60 +322,53 @@ class MeetingPointsSession:
         self.mpc1 = 0
         self.mpc2 = 0
 
-    @staticmethod
-    def _clean_group(received: Sequence[Symbol], start: int, length: int) -> Optional[Tuple[int, ...]]:
-        """Extract a hash from the received symbols; ``None`` if any bit is missing."""
-        group = received[start:start + length]
-        if len(group) < length or None in group:
-            return None
-        return tuple(map(int, group))
 
-    @staticmethod
-    def _clean_group_packed(received: Sequence[Symbol], start: int, length: int) -> Optional[int]:
-        """Like :meth:`_clean_group` but packed; ``None`` if any bit is missing."""
-        if len(received) < start + length:
-            return None
-        value = 0
-        for offset in range(length):
-            symbol = received[start + offset]
-            if symbol is None:
-                return None
-            if symbol:
-                value |= 1 << offset
-        return value
 
-    def _prefix_hash_input(
-        self, transcript: LinkTranscript, num_chunks: int
-    ) -> Tuple[int, int]:
-        """The packed hash input and its width for one transcript prefix.
+def _prefix_hash_input(
+    transcript: LinkTranscript, num_chunks: int, hash_input_mode: str
+) -> Tuple[int, int]:
+    """The packed hash input and its width for one transcript prefix.
 
-        Both values come from the transcript's per-prefix cache: the packed
-        raw form is ``int.from_bytes(serialized, "little")`` (bit-identical
-        to the historical ``bits_to_int(bytes_to_bits(...))`` loop) and the
-        fingerprint is the same BLAKE2b compression as before, computed once
-        per (transcript state, prefix length) instead of per exchange.
-        """
-        if (
-            self.hash_input_mode == "raw"
-            and transcript.prefix_byte_length(num_chunks) * 8 <= _RAW_INPUT_CAP_BITS
-        ):
-            return transcript.prefix_raw(num_chunks), _RAW_INPUT_CAP_BITS
-        return transcript.prefix_fingerprint(num_chunks), FINGERPRINT_BITS
+    Both values come from the transcript's per-prefix cache: the packed raw
+    form is ``int.from_bytes(serialized, "little")`` and the fingerprint is a
+    BLAKE2b compression, computed once per (transcript state, prefix length)
+    instead of per exchange.
+    """
+    if (
+        hash_input_mode == "raw"
+        and transcript.prefix_byte_length(num_chunks) * 8 <= _RAW_INPUT_CAP_BITS
+    ):
+        return transcript.prefix_raw(num_chunks), _RAW_INPUT_CAP_BITS
+    return transcript.prefix_fingerprint(num_chunks), FINGERPRINT_BITS
 
-    def _hash_counter(self, iteration: int, value: int) -> Tuple[int, ...]:
-        seed = self.seed_source.seed_for(
-            iteration, "mp_counter", self.hasher.seed_bits_required(_COUNTER_BITS)
-        )
-        digest = self.hasher.digest(value & ((1 << _COUNTER_BITS) - 1), _COUNTER_BITS, seed)
-        return self._unpack(digest)
 
-    def _hash_prefix(self, iteration: int, transcript: LinkTranscript, num_chunks: int) -> Tuple[int, ...]:
-        value, input_bits = self._prefix_hash_input(transcript, num_chunks)
-        seed = self.seed_source.seed_for(
-            iteration, "mp_prefix", self.hasher.seed_bits_required(input_bits)
-        )
-        digest = self.hasher.digest(value, input_bits, seed)
-        return self._unpack(digest)
+def per_call_message(
+    hasher: InnerProductHash,
+    seed_source: SeedSource,
+    hash_input_mode: str,
+    iteration: int,
+    transcript: LinkTranscript,
+    k: int,
+) -> int:
+    """Reference oracle for :meth:`MeetingPointsSession.build_message_packed`.
 
-    def _unpack(self, digest: int) -> Tuple[int, ...]:
-        return tuple(int_to_bits(digest, self.hasher.output_bits))
+    The original per-call derivation: the meeting points recomputed from
+    ``k`` (the session's counter *after* it advanced) and the transcript
+    length, then one ``seed_for`` and one ``digest`` per hash.  The session's
+    batched path must produce the same wire integer.  The engine never calls
+    this; the equivalence suite and the hashing speed gate do.
+    """
+    k_tilde = 1 << (k - 1).bit_length()
+    length = transcript.num_chunks
+    mp1 = k_tilde * (length // k_tilde)
+    mp2 = max(mp1 - k_tilde, 0)
+    tau = hasher.output_bits
+    counter_seed = seed_source.seed_for(
+        iteration, "mp_counter", hasher.seed_bits_required(_COUNTER_BITS)
+    )
+    message = hasher.digest(k & ((1 << _COUNTER_BITS) - 1), _COUNTER_BITS, counter_seed)
+    for position, num_chunks in enumerate((length, mp1, mp2), start=1):
+        value, input_bits = _prefix_hash_input(transcript, num_chunks, hash_input_mode)
+        seed = seed_source.seed_for(iteration, "mp_prefix", hasher.seed_bits_required(input_bits))
+        message |= hasher.digest(value, input_bits, seed) << (position * tau)
+    return message

@@ -24,7 +24,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.adversary.base import Adversary
 from repro.analysis.metrics import AggregateMetrics, RunMetrics, summarize_runs
-from repro.core.config import EngineConfig
 from repro.core.parameters import SchemeParameters
 from repro.experiments.factories import NoiselessFactory
 from repro.experiments.workloads import Workload
@@ -77,7 +76,6 @@ def run_trials(
     cache=_UNSET,
     store=_UNSET,
     seeds: Optional[Sequence[int]] = None,
-    engine: Optional[EngineConfig] = None,
 ) -> TrialSet:
     """Run ``trials`` independent simulations of one configuration.
 
@@ -86,11 +84,7 @@ def run_trials(
     the derivation for harnesses with their own seed schedule.  ``backend`` /
     ``cache`` / ``store`` default to the active runtime context
     (:func:`repro.runtime.use_runtime`); pass ``cache=None`` / ``store=None``
-    to disable either for this call.  ``engine`` pins the
-    :class:`~repro.core.config.EngineConfig` the trials execute under
-    (default: the runtime context's, else the engine default); the
-    configuration is fingerprint-invisible, so it never affects caching or
-    results — only execution speed.
+    to disable either for this call.
     """
     if seeds is None:
         if trials < 1:
@@ -100,11 +94,7 @@ def run_trials(
         seeds = list(seeds)
         if not seeds:
             raise ValueError("seeds must be non-empty")
-    # Resolve the ambient engine configuration into the specs now: worker
-    # processes never inherit this process's runtime context, so the
-    # configuration must ride inside each (picklable) spec.
-    active_engine = engine if engine is not None else get_runtime().engine
-    specs = build_trial_specs(workload, scheme, adversary_factory, seeds, engine=active_engine)
+    specs = build_trial_specs(workload, scheme, adversary_factory, seeds)
     active_cache = get_runtime().cache if cache is _UNSET else cache
     active_backend = backend if backend is not None else get_runtime().backend
     # Backends that track per-worker attribution (DistributedBackend) expose

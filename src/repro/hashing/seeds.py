@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import abc
 import hashlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -100,8 +99,8 @@ class SeedSource(abc.ABC):
     """Produces per-(iteration, purpose) hash seeds for one link.
 
     The unified expansion contract has one required method:
-    :meth:`seeds_for_iteration`.  Everything else (:meth:`seed_for`, the
-    deprecated :meth:`fork`) has a default implementation in terms of it.
+    :meth:`seeds_for_iteration`.  :meth:`seed_for` has a default
+    implementation in terms of it.
     """
 
     @abc.abstractmethod
@@ -130,20 +129,6 @@ class SeedSource(abc.ABC):
         value = seeds[index]
         assert value is not None  # non-zero length requested
         return value
-
-    def fork(self, iteration: int, purpose: str, length_bits: int) -> int:
-        """Deprecated pre-2.0 spelling of :meth:`seed_for`.
-
-        Kept as a thin compatibility wrapper for one release cycle; see the
-        migration note in ``docs/architecture.md``.
-        """
-        warnings.warn(
-            "SeedSource.fork() is deprecated; call seed_for() (or the batched "
-            "seeds_for_iteration()) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.seed_for(iteration, purpose, length_bits)
 
     @staticmethod
     def _purpose_index(purpose: str) -> int:
@@ -242,10 +227,6 @@ class CrsSeedSource(SlotAddressedSeedSource):
     link: Tuple[int, int]
     field_degree: int = 64
     slot_capacity_bits: int = 4096
-    #: ``False`` expands the δ-biased string through the original per-bit
-    #: field-multiplication loop (the expansion reference); ``True`` uses the
-    #: LFSR stream fast path.  Bit-identical either way.
-    table_expansion: bool = True
     #: Cache-miss slot derivations performed by this source (``repro.obs``).
     derivations: int = 0
     _generator: SmallBiasGenerator = field(init=False)
@@ -261,7 +242,6 @@ class CrsSeedSource(SlotAddressedSeedSource):
         self._generator = SmallBiasGenerator(
             seed_bits=link_seed,
             field_degree=self.field_degree,
-            table_stepping=self.table_expansion,
         )
 
 
@@ -287,10 +267,6 @@ class ExchangedSeedSource(SlotAddressedSeedSource):
     link_seed: int
     field_degree: int = 64
     slot_capacity_bits: int = 4096
-    #: ``False`` expands the δ-biased string through the original per-bit
-    #: field-multiplication loop (the pre-fast-path reference); ``True`` uses
-    #: the LFSR stream fast path.  Bit-identical either way.
-    table_expansion: bool = True
     #: Cache-miss slot derivations performed by this source (``repro.obs``).
     derivations: int = 0
     _generator: SmallBiasGenerator = field(init=False)
@@ -303,7 +279,6 @@ class ExchangedSeedSource(SlotAddressedSeedSource):
         self._generator = SmallBiasGenerator(
             seed_bits=self.link_seed,
             field_degree=self.field_degree,
-            table_stepping=self.table_expansion,
         )
 
     def share_generator_with(self, other: "ExchangedSeedSource") -> None:
@@ -319,11 +294,8 @@ class ExchangedSeedSource(SlotAddressedSeedSource):
         """
         if (other.link_seed, other.field_degree) != (self.link_seed, self.field_degree):
             raise ValueError("generator sharing requires identical link seeds and field degrees")
-        if (other.slot_capacity_bits, other.table_expansion) != (
-            self.slot_capacity_bits,
-            self.table_expansion,
-        ):
-            raise ValueError("generator sharing requires identical slot layouts and expansion paths")
+        if other.slot_capacity_bits != self.slot_capacity_bits:
+            raise ValueError("generator sharing requires identical slot layouts")
         self._generator = other._generator
         self._cache = other._cache
         self._batch_cache = other._batch_cache

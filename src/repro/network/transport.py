@@ -13,24 +13,24 @@ receiver.  It
 
 Four transmission paths exist:
 
-* the **packed fast path** (default on the engine hot path):
+* the **packed path** (the engine's meeting-points exchange):
   ``exchange_window_packed`` carries each directed link's window as a
   ``(bits, present)`` integer plane pair (the
   :func:`~repro.utils.bitstring.pack_symbols` convention) end to end — one
   :meth:`~repro.adversary.base.Adversary.corrupt_window_packed` call and one
   O(1)-popcount :meth:`~repro.network.channel.ChannelStats.record_window_packed`
   pass per link, with no per-slot symbol objects anywhere;
-* the **batched path**: ``exchange_window`` makes one
-  :meth:`~repro.adversary.base.Adversary.corrupt_window` call per directed
-  link and one :meth:`~repro.network.channel.ChannelStats.record_window`
+* the **batched path** (the engine's lockstep phases): ``exchange_window``
+  makes one :meth:`~repro.adversary.base.Adversary.corrupt_window` call per
+  directed link and one :meth:`~repro.network.channel.ChannelStats.record_window`
   bookkeeping pass per window — no per-slot contexts, calls or dictionary
   updates;
-* the **single-slot compatibility path**: ``transmit`` carries one symbol
-  through the classic ``TransmissionContext`` → ``corrupt`` → ``record`` →
+* the **single-slot reference**: ``transmit`` carries one symbol through the
+  classic ``TransmissionContext`` → ``corrupt`` → ``record`` →
   ``notify_delivery`` pipeline, and ``exchange_window_per_slot`` runs a whole
-  window through it.  The two paths are bit-identical for every adversary
-  honouring the ``corrupt_window`` contract (the equivalence suite in
-  ``tests/test_transport.py`` pins this for all stock adversaries);
+  window through it.  The engine never calls it; it is the oracle the
+  batched and packed paths are pinned bit-identical to for every adversary
+  honouring the ``corrupt_window`` contract (``tests/test_transport.py``);
 * the **merged phase path**: ``exchange_phase`` opens one
   :class:`PhaseExchange` covering a whole phase's rounds for adversaries
   honouring the slot-addressed contract
@@ -66,10 +66,6 @@ class NoisyNetwork:
     adversary: Adversary = field(default_factory=NoiselessAdversary)
     stats: ChannelStats = field(default_factory=ChannelStats)
     current_round: int = 0
-    #: When ``False``, ``exchange_window`` routes through the single-slot
-    #: compatibility path instead of the batched one.  The two are
-    #: bit-identical; the flag exists for equivalence tests and benchmarks.
-    batched: bool = True
 
     #: Dispatch accounting for ``repro.obs``: plain integers kept hot-path
     #: cheap (one add per window) and flushed into the ambient metrics
@@ -205,9 +201,6 @@ class NoisyNetwork:
         O(links) result-building work entirely.
         """
         self._validate_window(messages, window_rounds)
-        if not self.batched:
-            return self._exchange_window_per_slot(messages, window_rounds, phase, iteration, sparse)
-
         adversary = self.adversary
         corrupt_window = adversary.corrupt_window
         may_insert = adversary.may_insert
@@ -391,22 +384,12 @@ class NoisyNetwork:
         """The single-slot reference implementation of :meth:`exchange_window`.
 
         Every slot goes through :meth:`transmit` individually.  This is the
-        semantics the batched path must reproduce bit for bit; it is kept as
-        a first-class method so equivalence tests and benchmarks can run both
-        paths side by side.  ``sparse`` has the same meaning (and the same
-        wire-identical guarantee) as on :meth:`exchange_window`.
+        semantics the batched path must reproduce bit for bit; equivalence
+        tests and benchmarks run both side by side.  ``sparse`` has the same
+        meaning (and the same wire-identical guarantee) as on
+        :meth:`exchange_window`.
         """
         self._validate_window(messages, window_rounds)
-        return self._exchange_window_per_slot(messages, window_rounds, phase, iteration, sparse)
-
-    def _exchange_window_per_slot(
-        self,
-        messages: Dict[Tuple[int, int], Sequence[Symbol]],
-        window_rounds: int,
-        phase: str,
-        iteration: int,
-        sparse: bool = False,
-    ) -> Dict[Tuple[int, int], List[Symbol]]:
         received: Dict[Tuple[int, int], List[Symbol]] = {}
         may_insert = self.adversary.may_insert
         omit_silent = sparse and not may_insert

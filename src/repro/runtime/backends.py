@@ -38,13 +38,7 @@ from repro.runtime.spec import TrialSpec
 
 
 def execute_trial(spec: TrialSpec) -> RunMetrics:
-    """Run one trial: build a fresh adversary from the trial seed and simulate.
-
-    ``spec.engine`` (when set) selects the execution configuration.  It rides
-    inside the spec — not the ambient runtime context — so worker processes,
-    which never inherit the parent's context, run the exact configuration the
-    parent resolved.  Results are bit-identical whichever configuration runs.
-    """
+    """Run one trial: build a fresh adversary from the trial seed and simulate."""
     obs = get_obs()
     recorder = obs.recorder
     if recorder is not None:
@@ -60,7 +54,6 @@ def execute_trial(spec: TrialSpec) -> RunMetrics:
                 scheme=spec.scheme,
                 adversary=adversary,
                 seed=spec.seed,
-                config=spec.engine,
             )
             if span is not None:
                 span.set(success=result.success, iterations=result.iterations_run)
@@ -71,7 +64,6 @@ def execute_trial(spec: TrialSpec) -> RunMetrics:
             scheme=spec.scheme,
             adversary=adversary,
             seed=spec.seed,
-            config=spec.engine,
         )
     if recorder is not None:
         metrics = result.metrics

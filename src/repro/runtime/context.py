@@ -18,7 +18,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from repro.core.config import EngineConfig
 from repro.runtime.backends import ExecutionBackend, SerialBackend
 from repro.runtime.cache import ResultCache
 from repro.runtime.store import RunStore
@@ -33,19 +32,11 @@ _UNSET = UNSET
 
 @dataclass(frozen=True)
 class RuntimeContext:
-    """How trials execute when the caller does not say otherwise.
-
-    ``engine`` is the ambient :class:`~repro.core.config.EngineConfig` for
-    trials whose spec does not carry one (``None`` means the engine default).
-    Engine configuration selects execution paths that are pinned
-    bit-identical, so it is fingerprint-invisible: it never alters cache keys
-    or results, only how fast they are computed.
-    """
+    """How trials execute when the caller does not say otherwise."""
 
     backend: ExecutionBackend
     cache: Optional[ResultCache] = None
     store: Optional[RunStore] = None
-    engine: Optional[EngineConfig] = None
 
 
 _active = RuntimeContext(backend=SerialBackend())
@@ -60,12 +51,11 @@ def set_default_runtime(
     backend: Optional[ExecutionBackend] = None,
     cache=_UNSET,
     store=_UNSET,
-    engine=_UNSET,
 ) -> RuntimeContext:
     """Replace fields of the process-wide default context.
 
     ``backend=None`` keeps the current backend; pass ``cache=None`` /
-    ``store=None`` / ``engine=None`` explicitly to clear those fields.
+    ``store=None`` explicitly to clear those fields.
     """
     global _active
     updates = {}
@@ -75,8 +65,6 @@ def set_default_runtime(
         updates["cache"] = cache
     if store is not _UNSET:
         updates["store"] = store
-    if engine is not _UNSET:
-        updates["engine"] = engine
     _active = replace(_active, **updates)
     return _active
 
@@ -86,12 +74,11 @@ def use_runtime(
     backend: Optional[ExecutionBackend] = None,
     cache=_UNSET,
     store=_UNSET,
-    engine=_UNSET,
 ) -> Iterator[RuntimeContext]:
     """Temporarily override the runtime context (restored on exit)."""
     global _active
     previous = _active
     try:
-        yield set_default_runtime(backend=backend, cache=cache, store=store, engine=engine)
+        yield set_default_runtime(backend=backend, cache=cache, store=store)
     finally:
         _active = previous

@@ -39,10 +39,9 @@ import json
 import random
 import weakref
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from repro.adversary.base import Adversary
-from repro.core.config import EngineConfig
 from repro.core.parameters import SchemeParameters
 
 AdversaryFactory = Callable[[int], Adversary]
@@ -81,12 +80,6 @@ class TrialSpec:
     scheme: SchemeParameters
     adversary_factory: AdversaryFactory
     seed: int
-    #: Execution configuration (``None`` = ambient runtime default).  Engine
-    #: configuration only selects among bit-identical execution paths, so it
-    #: is deliberately **excluded** from :func:`fingerprint_trial`'s payload:
-    #: a result computed under any configuration is interchangeable with the
-    #: same trial under any other (asserted by ``tests/test_engine_config.py``).
-    engine: Optional[EngineConfig] = None
 
 
 @dataclass(frozen=True)
@@ -319,16 +312,9 @@ def build_trial_specs(
     scheme: SchemeParameters,
     adversary_factory: AdversaryFactory,
     seeds: List[int],
-    engine: Optional[EngineConfig] = None,
 ) -> List[TrialSpec]:
     """Expand one experimental cell into its per-seed trial specs."""
     return [
-        TrialSpec(
-            workload=workload,
-            scheme=scheme,
-            adversary_factory=adversary_factory,
-            seed=seed,
-            engine=engine,
-        )
+        TrialSpec(workload=workload, scheme=scheme, adversary_factory=adversary_factory, seed=seed)
         for seed in seeds
     ]

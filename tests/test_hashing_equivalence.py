@@ -9,10 +9,12 @@ random inputs, and the two must agree bit for bit —
 * ``SeedSource.seeds_for_iteration`` native overrides vs the per-call
   ``seed_for`` loop, for both seed-source implementations,
 * ``InnerProductHash.digest_many`` vs one ``digest`` per value,
-* ``MeetingPointsSession`` with ``fast_hashing=True`` vs the reference
-  session, in lockstep over random transcripts and corrupted replies,
-* whole trials through the engine with every combination of the
-  ``fast_hashing`` / ``batch_rounds`` switches.
+* ``MeetingPointsSession`` vs the per-call oracle
+  :func:`~repro.core.meeting_points.per_call_message`, over random
+  transcripts, seeds and corrupted replies,
+* whole trials through the engine's production path vs the same trials with
+  every window routed through the per-slot transport oracle
+  (``tests/oracles.py``), for every scheme.
 """
 
 from __future__ import annotations
@@ -21,10 +23,17 @@ import random
 
 import pytest
 
+from oracles import route_per_slot
+
 from repro.adversary.strategies import DeletionAdversary, RandomNoiseAdversary
 from repro.core.engine import InteractiveCodingSimulator
-from repro.core.meeting_points import MeetingPointsSession
-from repro.core.parameters import algorithm_a, algorithm_b, crs_oblivious_scheme
+from repro.core.meeting_points import MeetingPointsSession, per_call_message
+from repro.core.parameters import (
+    algorithm_a,
+    algorithm_b,
+    crs_oblivious_scheme,
+    scheme_by_name,
+)
 from repro.core.transcript import ChunkRecord, LinkTranscript
 from repro.hashing.inner_product import InnerProductHash
 from repro.hashing.seeds import (
@@ -35,7 +44,9 @@ from repro.hashing.seeds import (
     seed_layout,
 )
 from repro.hashing.small_bias import SmallBiasGenerator
-from repro.utils.bitstring import bits_to_int
+from repro.experiments.factories import RandomNoiseFactory
+from repro.experiments.workloads import gossip_workload
+from repro.utils.bitstring import bits_to_int, int_to_bits, pack_symbols
 from repro.utils.rng import make_rng
 
 
@@ -98,6 +109,15 @@ class TestSmallBiasExpansionEquivalence:
 # -------------------------------------------------------------- seed sources --
 
 
+def _per_bit_source(link_seed: int) -> ExchangedSeedSource:
+    """An exchanged-seed source expanding through the per-bit reference loop."""
+    source = ExchangedSeedSource(link_seed=link_seed)
+    source._generator = SmallBiasGenerator(
+        seed_bits=link_seed, field_degree=source.field_degree, table_stepping=False
+    )
+    return source
+
+
 def _random_layout(rng: random.Random) -> SeedLayout:
     lengths = {}
     for purpose in SEED_PURPOSES:
@@ -137,7 +157,7 @@ class TestSeedBatchEquivalence:
             seed = rng.getrandbits(128)
             batched = ExchangedSeedSource(link_seed=seed)
             per_call = ExchangedSeedSource(link_seed=seed)
-            reference = ExchangedSeedSource(link_seed=seed, table_expansion=False)
+            reference = _per_bit_source(seed)
             for iteration in sorted(rng.sample(range(12), 3)):
                 layout = _random_layout(rng)
                 expected = tuple(
@@ -165,7 +185,7 @@ class TestSeedBatchEquivalence:
         b = ExchangedSeedSource(link_seed=2)
         with pytest.raises(ValueError):
             b.share_generator_with(a)
-        c = ExchangedSeedSource(link_seed=1, table_expansion=False)
+        c = ExchangedSeedSource(link_seed=1, slot_capacity_bits=2048)
         with pytest.raises(ValueError):
             c.share_generator_with(a)
 
@@ -215,7 +235,7 @@ class TestDigestManyEquivalence:
         assert hasher.digest_many([], 4, 0) == ()
 
 
-# ------------------------------------------------------- session-level lockstep --
+# ---------------------------------------------------- session vs per-call oracle --
 
 
 def _transcript(owner: int, neighbor: int, payloads) -> LinkTranscript:
@@ -241,38 +261,24 @@ def _corrupt(rng: random.Random, message):
     return symbols
 
 
-def _outcome_tuple(outcome):
-    return (
-        outcome.status,
-        outcome.truncate_to,
-        outcome.k_agreed,
-        outcome.full_match,
-        outcome.vote,
-        outcome.reset,
-    )
-
-
-def _session_state(session: MeetingPointsSession):
-    return (
-        session.k,
-        session.error_count,
-        session.mpc1,
-        session.mpc2,
-        session.status,
-        session.truncations,
-        session.resets,
-    )
+def _reply_group(reply, index: int, tau: int):
+    """Hash group ``index`` of a symbol reply; ``None`` if any bit is missing."""
+    group = reply[index * tau:(index + 1) * tau]
+    return None if None in group else bits_to_int(group)
 
 
 @pytest.mark.parametrize("source_kind", ["crs", "exchanged"])
 @pytest.mark.parametrize("hash_input_mode", ["fingerprint", "raw"])
 def test_session_fast_path_is_bit_identical_to_reference(source_kind, hash_input_mode):
-    """The tentpole guarantee at session level: identical wire messages,
-    outcomes and search state under noisy replies, for every seed source."""
+    """The tentpole guarantee at session level: the batched session emits the
+    per-call oracle's wire message under noisy replies, for every seed
+    source, and its decisions read exactly the hash groups the oracle's
+    digests predict (counter agreement, full match, meeting-point votes)."""
     for trial in range(6):
         rng = make_rng(1000 * trial + 41)
         tau = rng.choice([4, 8, 12])
         hasher = InnerProductHash(tau)
+        mask = (1 << tau) - 1
 
         def build_source():
             # Raw-mode hash inputs need τ·4096-bit seeds, so give both
@@ -286,39 +292,39 @@ def test_session_fast_path_is_bit_identical_to_reference(source_kind, hash_input
                 link_seed=0x9D1C_37A2_55B0_4E11_6F08_42D3_91AC_7E65, slot_capacity_bits=1 << 16
             )
 
-        def build_session(fast: bool) -> MeetingPointsSession:
-            return MeetingPointsSession(
-                hasher=hasher,
-                seed_source=build_source(),
-                hash_input_mode=hash_input_mode,
-                fast_hashing=fast,
-            )
+        transcript = _transcript(0, 1, _random_payloads(rng, rng.randint(0, 12)))
+        session = MeetingPointsSession(
+            hasher=hasher, seed_source=build_source(), hash_input_mode=hash_input_mode
+        )
+        # A separate source instance, so the oracle's per-call reads never hit
+        # slots the session's batched reads cached.
+        oracle_source = build_source()
 
-        payloads = _random_payloads(rng, rng.randint(0, 12))
-        fast_transcript = _transcript(0, 1, payloads)
-        reference_transcript = _transcript(0, 1, payloads)
-        fast_session = build_session(True)
-        reference_session = build_session(False)
-
-        noise_seed = rng.getrandbits(32)
-        fast_noise = make_rng(noise_seed)
-        reference_noise = make_rng(noise_seed)
+        noise = make_rng(rng.getrandbits(32))
         for iteration in range(15):
-            fast_message = fast_session.build_message(iteration, fast_transcript)
-            reference_message = reference_session.build_message(iteration, reference_transcript)
-            assert fast_message == reference_message, (trial, iteration)
-
-            reply = _corrupt(fast_noise, fast_message)
-            assert reply == _corrupt(reference_noise, reference_message)
-            fast_outcome = fast_session.process_reply(iteration, fast_transcript, reply)
-            reference_outcome = reference_session.process_reply(
-                iteration, reference_transcript, reply
+            message = session.build_message_packed(iteration, transcript)
+            expected = per_call_message(
+                hasher, oracle_source, hash_input_mode, iteration, transcript, session.k
             )
-            assert _outcome_tuple(fast_outcome) == _outcome_tuple(reference_outcome)
-            assert _session_state(fast_session) == _session_state(reference_session)
-            if fast_outcome.truncate_to is not None:
-                fast_transcript.truncate_to(fast_outcome.truncate_to)
-                reference_transcript.truncate_to(reference_outcome.truncate_to)
+            assert message == expected, (trial, iteration)
+
+            own = [(expected >> (index * tau)) & mask for index in range(4)]
+            reply = _corrupt(noise, int_to_bits(message, session.message_bits))
+            groups = [_reply_group(reply, index, tau) for index in range(4)]
+            k_before = session.k
+            outcome = session.process_reply_packed(iteration, transcript, *pack_symbols(reply))
+            assert outcome.k_agreed == (groups[0] == own[0]), (trial, iteration)
+            assert outcome.full_match == (groups[1] == own[1]), (trial, iteration)
+            if outcome.k_agreed and not outcome.full_match and k_before > 1:
+                if own[2] in (groups[2], groups[3]):
+                    expected_vote = "mp1"
+                elif own[3] in (groups[2], groups[3]):
+                    expected_vote = "mp2"
+                else:
+                    expected_vote = None
+                assert outcome.vote == expected_vote, (trial, iteration)
+            if outcome.truncate_to is not None:
+                transcript.truncate_to(outcome.truncate_to)
 
 
 # ------------------------------------------------------------ trial-level runs --
@@ -347,29 +353,41 @@ _TRIAL_CASES = {
 }
 
 
+def _run_trial(protocol, scheme, adversary, seed, per_slot):
+    """One trial on the production path, or with every window dispatch routed
+    through the per-slot transport oracle."""
+    simulator = InteractiveCodingSimulator(protocol, scheme=scheme, adversary=adversary, seed=seed)
+    if per_slot:
+        route_per_slot(simulator.network)
+    return simulator.run()
+
+
 @pytest.mark.parametrize("case", sorted(_TRIAL_CASES))
 def test_full_trial_bit_identity_across_fast_path_switches(case, gossip_clique4):
-    """Whole trials agree field for field across every switch combination."""
+    """Whole trials agree field for field when the production transport
+    (batched lockstep windows, packed meeting points) is switched out for
+    the per-slot oracle."""
     scheme_factory, adversary_factory = _TRIAL_CASES[case]
 
-    def run(fast_hashing: bool, batch_rounds: bool):
-        simulator = InteractiveCodingSimulator(
-            gossip_clique4,
-            scheme=scheme_factory(),
-            adversary=adversary_factory(),
-            seed=7,
-        )
-        simulator.fast_hashing = fast_hashing
-        simulator.batch_rounds = batch_rounds
-        return simulator.run()
+    def run(per_slot: bool):
+        return _run_trial(gossip_clique4, scheme_factory(), adversary_factory(), 7, per_slot)
 
-    reference = _trial_fingerprint(run(False, False))
-    for fast_hashing, batch_rounds in ((True, False), (False, True), (True, True)):
-        assert _trial_fingerprint(run(fast_hashing, batch_rounds)) == reference, (
-            case,
-            fast_hashing,
-            batch_rounds,
-        )
+    assert _trial_fingerprint(run(True)) == _trial_fingerprint(run(False)), case
+
+
+@pytest.mark.parametrize("scheme_name", ["algorithm_crs", "algorithm_a", "algorithm_b", "algorithm_c"])
+def test_reference_and_default_profiles_bit_identical(scheme_name):
+    """Every scheme: the production path and the per-slot oracle agree on a
+    noisy trial under the noise-sweep adversary."""
+    workload = gossip_workload("clique", 4, 3, seed=0)
+    scheme = scheme_by_name(scheme_name)
+    fraction = scheme.nominal_noise_fraction(workload.protocol.graph)
+    factory = RandomNoiseFactory(fraction=fraction)
+    results = {}
+    for label, per_slot in [("default", False), ("reference", True)]:
+        result = _run_trial(workload.protocol, scheme, factory(3), 3, per_slot)
+        results[label] = (result.success, result.metrics.as_dict())
+    assert results["default"] == results["reference"]
 
 
 @pytest.mark.parametrize("case", sorted(_TRIAL_CASES))
@@ -379,33 +397,21 @@ def test_full_trial_bit_identity_with_obs_on_and_off(case, gossip_clique4):
     The tracer draws its ids from ``os.urandom`` and the registry flush runs
     after the simulation, so every field of the result — outputs, metrics,
     channel summary — must match the uninstrumented run bit for bit, on both
-    the fast and the reference hashing paths.
+    the production transport and the per-slot oracle.
     """
     from repro.obs import MetricsRegistry, Tracer, use_obs
 
     scheme_factory, adversary_factory = _TRIAL_CASES[case]
 
-    def run(fast_hashing: bool):
-        simulator = InteractiveCodingSimulator(
-            gossip_clique4,
-            scheme=scheme_factory(),
-            adversary=adversary_factory(),
-            seed=7,
-        )
-        simulator.fast_hashing = fast_hashing
-        return simulator.run()
+    def run(per_slot: bool):
+        return _run_trial(gossip_clique4, scheme_factory(), adversary_factory(), 7, per_slot)
 
-    for fast_hashing in (False, True):
-        plain = _trial_fingerprint(run(fast_hashing))
+    for per_slot in (False, True):
+        plain = _trial_fingerprint(run(per_slot))
         registry = MetricsRegistry()
         with use_obs(metrics=registry, tracer=Tracer()):
-            observed = _trial_fingerprint(run(fast_hashing))
-        assert observed == plain, (case, fast_hashing)
-        # The flush attributed the hash builds to the right implementation.
+            observed = _trial_fingerprint(run(per_slot))
+        assert observed == plain, (case, per_slot)
+        # The flush attributed the session's hash builds.
         counters = registry.snapshot()["counters"]
-        if fast_hashing:
-            assert counters.get("hashing.packed_builds", 0) > 0
-            assert counters.get("hashing.reference_builds", 0) == 0
-        else:
-            assert counters.get("hashing.reference_builds", 0) > 0
-            assert counters.get("hashing.packed_builds", 0) == 0
+        assert counters.get("hashing.packed_builds", 0) > 0

@@ -41,10 +41,11 @@ def _exchange(
     iteration: int,
 ):
     """One noiseless consistency-check exchange between the two endpoints."""
-    message_u = session_u.build_message(iteration, transcript_u)
-    message_v = session_v.build_message(iteration, transcript_v)
-    outcome_u = session_u.process_reply(iteration, transcript_u, message_v)
-    outcome_v = session_v.process_reply(iteration, transcript_v, message_u)
+    full = (1 << session_u.message_bits) - 1
+    message_u = session_u.build_message_packed(iteration, transcript_u)
+    message_v = session_v.build_message_packed(iteration, transcript_v)
+    outcome_u = session_u.process_reply_packed(iteration, transcript_u, message_v, full)
+    outcome_v = session_v.process_reply_packed(iteration, transcript_v, message_u, full)
     if outcome_u.truncate_to is not None:
         transcript_u.truncate_to(outcome_u.truncate_to)
     if outcome_v.truncate_to is not None:
@@ -65,15 +66,16 @@ class TestMessageLayout:
     def test_message_length(self):
         session, _ = _session_pair(tau=7)
         transcript = _transcript(0, 1, [1, 2])
-        message = session.build_message(0, transcript)
-        assert len(message) == 4 * 7 == session.message_bits
+        message = session.build_message_packed(0, transcript)
+        assert message >> session.message_bits == 0
+        assert session.message_bits == 4 * 7
 
     def test_counter_advances(self):
         session, _ = _session_pair()
         transcript = _transcript(0, 1, [1])
-        session.build_message(0, transcript)
+        session.build_message_packed(0, transcript)
         assert session.k == 1
-        session.build_message(1, transcript)
+        session.build_message_packed(1, transcript)
         assert session.k == 2
 
 
@@ -166,17 +168,16 @@ class TestNoiseHandling:
         transcript_u = _transcript(0, 1, [1, 2])
         transcript_v = _transcript(1, 0, [1, 2])
         session_u, session_v = _session_pair()
-        message_v = session_v.build_message(0, transcript_v)
-        session_u.build_message(0, transcript_u)
-        corrupted = [None] * len(message_v)
-        outcome_u = session_u.process_reply(0, transcript_u, corrupted)
+        session_v.build_message_packed(0, transcript_v)
+        session_u.build_message_packed(0, transcript_u)
+        outcome_u = session_u.process_reply_packed(0, transcript_u, 0, 0)  # every slot erased
         assert outcome_u.status == STATUS_MEETING_POINTS
 
     def test_partial_reply_is_tolerated(self):
         transcript_u = _transcript(0, 1, [1, 2])
         session_u, _ = _session_pair()
-        session_u.build_message(0, transcript_u)
-        outcome = session_u.process_reply(0, transcript_u, [0, 1])  # far too short
+        session_u.build_message_packed(0, transcript_u)
+        outcome = session_u.process_reply_packed(0, transcript_u, 0b10, 0b11)  # far too short
         assert outcome.status == STATUS_MEETING_POINTS
 
     def test_hash_collision_accounting_is_possible(self):

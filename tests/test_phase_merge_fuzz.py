@@ -1,24 +1,25 @@
 """Differential fuzzing of whole-phase round merging.
 
-The engine's ``merge_phases`` switch collapses the flag-passing, simulation
-and rewind phases into one :meth:`~repro.network.transport.NoisyNetwork.exchange_phase`
-dispatch per phase whenever the adversary honours the slot-addressed contract
-(:attr:`~repro.adversary.base.Adversary.slot_addressed`).  The switch is
-advertised as **bit-identical**: not "statistically equivalent", but the same
+The engine collapses the flag-passing, simulation and rewind phases into one
+:meth:`~repro.network.transport.NoisyNetwork.exchange_phase` dispatch per
+phase whenever the adversary honours the slot-addressed contract
+(:attr:`~repro.adversary.base.Adversary.slot_addressed`).  The merged
+schedule is advertised as **bit-identical**: not "statistically equivalent", but the same
 ``SimulationResult``, the same :class:`~repro.network.channel.ChannelStats`
 counters, the same round clock and the same adversary end state (RNG stream
 positions, budget counters) as the per-round lockstep schedule.
 
 This suite pins that claim differentially: hypothesis draws a workload
-(scheme x topology x stock adversary x seed x observability mode x packed
-flag), runs it twice — once on the reference profile (``merge_phases=False``,
-``packed=False``: per-round schedule, symbol-sequence transport) and once on
-the fast profile (``merge_phases=True`` plus the drawn ``packed`` mode, which
-routes the meeting-points exchange through ``exchange_window_packed``'s
+(scheme x topology x stock adversary x seed x observability mode), runs it
+twice — once as the reference (the adversary wrapped in
+:class:`_LockstepProxy`, which reports ``slot_addressed=False`` so the engine
+takes the per-round schedule, with every window routed through the per-slot
+transport oracle) and once on the production path (merged phases, and the
+meeting-points exchange through ``exchange_window_packed``'s
 ``(bits, present)`` plane pairs) — and requires every observable to match
 exactly.  One case uses a deliberately non-slot-addressed adversary to pin
-the fallback: the merge switch must be silently ignored (zero merged
-dispatches) while the packed transport, which is legal for *every* adversary
+the fallback: the engine must not merge (zero merged dispatches) while the
+packed transport, which is legal for *every* adversary
 (``corrupt_window_packed`` is contract-pinned bit-identical), still runs.
 
 The observability mode covers the flight recorder too: a run under an
@@ -50,8 +51,9 @@ from contextlib import nullcontext
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import route_per_slot
 
-from repro.adversary.base import NoiselessAdversary
+from repro.adversary.base import Adversary, NoiselessAdversary
 from repro.adversary.contract import _state_snapshot
 from repro.adversary.oblivious import AdditiveObliviousAdversary, FixingObliviousAdversary
 from repro.adversary.strategies import (
@@ -61,7 +63,6 @@ from repro.adversary.strategies import (
     LinkTargetedAdversary,
     RandomNoiseAdversary,
 )
-from repro.core.config import DEFAULT_ENGINE_CONFIG
 from repro.core.engine import InteractiveCodingSimulator
 from repro.core.parameters import scheme_by_name
 from repro.network.topologies import (
@@ -100,8 +101,8 @@ def _oblivious_pattern(graph, seed, values, density=0.02, horizon=600):
 
 
 #: name -> builder(graph, seed) for every adversary family under fuzz.  All
-#: but the last are slot-addressed; "stateful-fallback" pins that the switch
-#: is a no-op for adversaries that truthfully report slot_addressed=False.
+#: but the last are slot-addressed; "stateful-fallback" pins that the engine
+#: never merges for adversaries that truthfully report slot_addressed=False.
 _ADVERSARIES = {
     "noiseless": lambda graph, seed: NoiselessAdversary(),
     "additive": lambda graph, seed: AdditiveObliviousAdversary(
@@ -149,6 +150,42 @@ _ADVERSARIES = {
 }
 
 
+class _LockstepProxy(Adversary):
+    """Wraps an adversary and reports ``slot_addressed=False``.
+
+    The engine then runs the per-round lockstep schedule against the very
+    same adversary object: every corruption entry point and the delivery hook
+    delegate to it, and every other attribute (``budget``, ``may_insert``,
+    ...) reads through.
+    """
+
+    slot_addressed = False
+
+    def __init__(self, inner: Adversary) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.oblivious = inner.oblivious
+        self.may_insert = inner.may_insert
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def corrupt(self, ctx, sent):
+        return self.inner.corrupt(ctx, sent)
+
+    def corrupt_window(self, ctx, symbols):
+        return self.inner.corrupt_window(ctx, symbols)
+
+    def corrupt_window_packed(self, ctx, bits, present, count):
+        return self.inner.corrupt_window_packed(ctx, bits, present, count)
+
+    def notify_delivery(self, ctx, sent, received):
+        self.inner.notify_delivery(ctx, sent, received)
+
+    def reset(self):
+        self.inner.reset()
+
+
 def _workload(topology_name, seed):
     graph = _TOPOLOGIES[topology_name](seed)
     inputs = {party: (seed * 31 + party * 7) % 1024 for party in graph.nodes}
@@ -162,15 +199,16 @@ def _workload(topology_name, seed):
 _OBS_MODES = ("dark", "metrics", "recorder")
 
 
-def _run(scheme_name, topology_name, adversary_name, seed, merge, obs_mode="dark", packed=True):
+def _run(scheme_name, topology_name, adversary_name, seed, merge, obs_mode="dark"):
     """One full simulation; returns (simulator, result, recorder-or-None).
 
-    ``merge`` / ``packed`` select the execution profile via
-    :class:`~repro.core.config.EngineConfig`; the reference runs of this suite
-    pass both as ``False`` (per-round, symbol-sequence transport)."""
+    ``merge=True`` runs the production path; the reference runs of this suite
+    pass ``False``: the adversary behind a :class:`_LockstepProxy` (per-round
+    schedule) and every window through the per-slot transport oracle."""
     graph, protocol = _workload(topology_name, seed)
     adversary = _ADVERSARIES[adversary_name](graph, seed)
-    config = DEFAULT_ENGINE_CONFIG.with_overrides(merge_phases=merge, packed=packed)
+    if not merge:
+        adversary = _LockstepProxy(adversary)
     # A ring big enough to never drop: event-multiset comparison between the
     # two schedules needs the complete record (retention under overflow is
     # emission-order-dependent, which is exactly what differs).
@@ -184,9 +222,10 @@ def _run(scheme_name, topology_name, adversary_name, seed, merge, obs_mode="dark
         )
     with scope:
         simulator = InteractiveCodingSimulator(
-            protocol, scheme=scheme_by_name(scheme_name), adversary=adversary, seed=seed,
-            config=config,
+            protocol, scheme=scheme_by_name(scheme_name), adversary=adversary, seed=seed
         )
+        if not merge:
+            route_per_slot(simulator.network)
         result = simulator.run()
     return simulator, result, recorder
 
@@ -214,7 +253,7 @@ def _assert_bit_identical(reference_run, merged_run):
     assert merged_sim.network.current_round == reference_sim.network.current_round
     # RNG stream positions and budget counters: the merged schedule must
     # consume the adversary's state exactly like lockstep did.
-    assert _state_snapshot(merged_sim.adversary) == _state_snapshot(reference_sim.adversary)
+    assert _state_snapshot(merged_sim.adversary) == _state_snapshot(reference_sim.adversary.inner)
     assert reference_sim.network.merged_dispatches == 0
 
 
@@ -256,30 +295,22 @@ class TestPhaseMergeDifferential:
         adversary_name=st.sampled_from(sorted(_ADVERSARIES)),
         seed=st.integers(0, 10_000),
         obs_mode=st.sampled_from(_OBS_MODES),
-        packed=st.booleans(),
     )
     def test_merged_schedule_is_bit_identical(
-        self, scheme_name, topology_name, adversary_name, seed, obs_mode, packed
+        self, scheme_name, topology_name, adversary_name, seed, obs_mode
     ):
-        reference_run = _run(
-            scheme_name, topology_name, adversary_name, seed, False, obs_mode, packed=False
-        )
-        merged_run = _run(
-            scheme_name, topology_name, adversary_name, seed, True, obs_mode, packed=packed
-        )
+        reference_run = _run(scheme_name, topology_name, adversary_name, seed, False, obs_mode)
+        merged_run = _run(scheme_name, topology_name, adversary_name, seed, True, obs_mode)
         _assert_bit_identical(reference_run, merged_run)
         if obs_mode == "recorder":
             _assert_same_recording(reference_run[2], merged_run[2])
         merged_sim = merged_run[0]
         assert reference_run[0].network.packed_dispatches == 0
-        if packed:
-            # The packed meeting-points exchange runs for every adversary —
-            # corrupt_window_packed is contract-pinned bit-identical.
-            assert merged_sim.network.packed_dispatches > 0
-        else:
-            assert merged_sim.network.packed_dispatches == 0
+        # The packed meeting-points exchange runs for every adversary —
+        # corrupt_window_packed is contract-pinned bit-identical.
+        assert merged_sim.network.packed_dispatches > 0
         if adversary_name == "stateful-fallback":
-            # slot_addressed is truthfully False: the switch must be ignored.
+            # slot_addressed is truthfully False: the engine must not merge.
             assert not merged_sim.adversary.slot_addressed
             assert merged_sim.network.merged_dispatches == 0
         else:

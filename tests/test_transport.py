@@ -393,19 +393,6 @@ def test_packed_path_is_bit_identical_to_symbol_path(adversary_name):
         assert symbol_network.packed_dispatches == 0
 
 
-def test_batched_flag_routes_through_per_slot_path():
-    """`NoisyNetwork.batched = False` makes exchange_window use the reference path."""
-    graph = line_topology(3)
-    a = NoisyNetwork(graph, adversary=RandomNoiseAdversary(corruption_probability=0.3, seed=5))
-    b = NoisyNetwork(graph, adversary=RandomNoiseAdversary(corruption_probability=0.3, seed=5))
-    b.batched = False
-    messages = {(0, 1): [1, 0, 1, 1], (2, 1): [0, 0, 1]}
-    assert a.exchange_window(messages, 4, "simulation") == b.exchange_window(
-        messages, 4, "simulation"
-    )
-    assert a.stats == b.stats
-
-
 class TestDispatchCounters:
     """The observability counters on the transport are plain int attributes:
     they classify every window (sparse fast path vs dense) without touching
