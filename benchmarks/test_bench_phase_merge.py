@@ -1,20 +1,21 @@
 """Perf gate for whole-phase merged dispatch (the slot-addressed contract).
 
-PR 5 cut dispatch cost per *window*; the slot-addressed contract cuts it per
-*phase*: when the adversary's noise is a pure function of (round, link,
-symbol), the engine replaces one ``exchange_window`` dispatch per round with
-a single ``exchange_phase`` — per-slot schedule evaluation for transmitted
-symbols, one lazily-evaluated whole-phase silence baseline per link for
-insertions, and one accounting pass per link at commit.
+A transport-level gate of ``NoisyNetwork.exchange_phase`` /
+``PhaseExchange``; no engine path uses that dispatch.  When the adversary's
+noise is a pure function of (round, link, symbol), one ``exchange_phase``
+can replace one ``exchange_window`` dispatch per round — per-slot schedule
+evaluation for transmitted symbols, one lazily-evaluated whole-phase
+silence baseline per link for insertions, and one accounting pass per link
+at commit.
 
 Shape we gate: on a representative slot-addressed workload (sparse
 simulation-phase traffic under an inserting additive-oblivious pattern, the
 shape that forces the per-round reference into its dense path every round),
 the merged dispatch must be at least **2× faster** than per-round dispatch,
 while delivering bit-identical ``ChannelStats`` (the equivalence itself is
-pinned much harder by ``tests/test_phase_merge_fuzz.py``).  The measurement
-is recorded in ``.bench-runs`` like every other benchmark, so
-``check_perf_regression.py`` gates the trajectory session over session.
+pinned by ``tests/test_transport.py``).  The measurement is recorded in
+``.bench-runs`` like every other benchmark, so ``check_perf_regression.py``
+gates the trajectory session over session.
 """
 
 from __future__ import annotations

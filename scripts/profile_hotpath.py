@@ -11,8 +11,8 @@ one-command answer::
     PYTHONPATH=src python scripts/profile_hotpath.py
     PYTHONPATH=src python scripts/profile_hotpath.py --topology clique --nodes 8 --sort tottime
 
-The trial runs the engine's one production path: packed meeting points,
-batched lockstep phases (merged phases for slot-addressed adversaries).
+The trial runs the engine's one production path: packed meeting points and
+batched lockstep phases, the same schedule for every adversary.
 
 ``--obs`` profiles the same trial under an ambient observability scope and,
 after the frame table, prints the metrics-registry snapshot plus per-name

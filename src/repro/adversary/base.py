@@ -21,10 +21,12 @@ noise.
 
 On top of both sits the opt-in **slot-addressed contract**
 (``Adversary.slot_addressed`` + ``corruption_schedule``): corruption as a
-pure function of ``(round, link, symbol)`` with no cross-slot state, which
-is what lets the engine merge a whole phase's rounds into a single
-transport dispatch.  See :meth:`Adversary.corruption_schedule` for the laws
-and ``repro.adversary.check_contract`` for the conformance probe.
+pure function of ``(round, link, symbol)`` with no cross-slot state.  Only
+the noiseless and oblivious pattern adversaries (and composites of them)
+declare it; the engine never reads it, and its one consumer is the
+transport's whole-phase ``exchange_phase`` unit.  See
+:meth:`Adversary.corruption_schedule` for the laws and
+``repro.adversary.check_contract`` for the conformance probe.
 
 The theorems bound the noise as a *fraction of the actual communication* of
 the executed instance, which is not known in advance.  :class:`NoiseBudget`
@@ -124,13 +126,12 @@ class Adversary(abc.ABC):
     #: function of (absolute round, directed link, sent symbol)* — no
     #: sequential RNG streams, no budgets fed by realised communication, no
     #: cross-slot state of any kind — and that :meth:`corruption_schedule`
-    #: implements exactly that function.  Under the contract the engine may
-    #: legally precompute a whole phase's delivery schedule and merge the
-    #: phase's rounds into one transport dispatch
-    #: (:meth:`~repro.network.transport.NoisyNetwork.exchange_phase`):
-    #: evaluating a slot early, twice, or grouped into a different window is
-    #: guaranteed to be unobservable.  Stateful adversaries must truthfully
-    #: report ``False`` and keep the lockstep round-by-round path.
+    #: implements exactly that function, so evaluating a slot early, twice,
+    #: or grouped into a different window is unobservable.  Only the
+    #: transport's whole-phase unit
+    #: (:meth:`~repro.network.transport.NoisyNetwork.exchange_phase`) reads
+    #: the flag; the engine runs one schedule for every adversary.  Stateful
+    #: adversaries must truthfully report ``False``.
     #: ``repro.adversary.check_contract`` probes the laws below.
     slot_addressed: bool = False
 
@@ -237,12 +238,12 @@ class Adversary(abc.ABC):
         * **path agreement** — while ``slot_addressed`` holds,
           :meth:`corrupt` and :meth:`corrupt_window` delegate to (or agree
           bit for bit with) this function, so the per-slot, batched-window
-          and merged-phase transmission paths all deliver the same symbols.
+          and whole-phase transmission paths all deliver the same symbols.
 
-        These laws are what make whole-phase round merging legal: the engine
-        evaluates slots the moment it knows the sent symbol (data-dependent,
-        out of dispatch order) and the transport accounts the whole phase in
-        one pass, with no way for the grouping to change the outcome.
+        These laws are what make :class:`~repro.network.transport.PhaseExchange`
+        legal: it evaluates slots the moment the sent symbol is known (out of
+        dispatch order) and accounts the whole phase in one pass, with no way
+        for the grouping to change the outcome.
         ``repro.adversary.check_contract`` probes all three laws.
         """
         if not self.slot_addressed:

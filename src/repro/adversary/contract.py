@@ -13,7 +13,7 @@ Two layers of guarantees hold the transport's transmission paths together:
   additionally satisfy the slot-addressed laws — purity, slot
   decomposability, path agreement (see
   :meth:`~repro.adversary.base.Adversary.corruption_schedule`) — which is
-  what makes whole-phase round merging legal.
+  what makes the transport's whole-phase ``exchange_phase`` unit legal.
 
 :func:`check_contract` probes both layers on deterministic fuzz windows and
 raises :class:`ContractViolation` on the first broken law.  It is exported as

@@ -25,7 +25,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.adversary.base import Adversary, NoiseBudget
 from repro.network.channel import Symbol, TransmissionContext, WindowContext
-from repro.utils.rng import make_rng, slot_rng
+from repro.utils.rng import make_rng
 
 
 def _flip(symbol: Symbol) -> Symbol:
@@ -63,13 +63,6 @@ class RandomNoiseAdversary(Adversary):
     the coin flips depend only on the slot index and the adversary's own seed.
     ``insertion_probability`` controls extra insertions on silent slots
     (0 disables them and lets the transport skip silent slots entirely).
-
-    With ``slot_addressed=True`` the coins come from per-slot derived streams
-    (:func:`~repro.utils.rng.slot_rng`) instead of one sequential generator,
-    making every decision a pure function of ``(seed, round, link, symbol)``.
-    The noise distribution is the same, the realised pattern differs from the
-    sequential mode; a ``budget`` is rejected because a fraction budget feeds
-    on realised communication, which is cross-slot state.
     """
 
     corruption_probability: float = 0.0
@@ -78,43 +71,16 @@ class RandomNoiseAdversary(Adversary):
     budget: Optional[NoiseBudget] = None
     name: str = "random-noise"
     oblivious: bool = True
-    slot_addressed: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.corruption_probability <= 1.0:
             raise ValueError("corruption_probability must lie in [0, 1]")
         if not 0.0 <= self.insertion_probability <= 1.0:
             raise ValueError("insertion_probability must lie in [0, 1]")
-        if self.slot_addressed and self.budget is not None:
-            raise ValueError(
-                "slot-addressed RandomNoiseAdversary cannot carry a NoiseBudget: "
-                "a fraction budget feeds on realised communication, which is "
-                "cross-slot state"
-            )
         self._rng = make_rng(self.seed)
         self.may_insert = self.insertion_probability > 0.0
 
-    def _slot_symbol(self, round_index: int, sender: int, receiver: int, sent: Symbol) -> Symbol:
-        """The pure per-slot decision of the slot-addressed mode."""
-        probability = self.insertion_probability if sent is None else self.corruption_probability
-        if probability <= 0.0:
-            return sent
-        rng = slot_rng(self.seed, round_index, sender, receiver)
-        if rng.random() >= probability:
-            return sent
-        return _corrupt_randomly(rng, sent)
-
-    def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if not self.slot_addressed:
-            return super().corruption_schedule(ctx, symbols)  # raises
-        sender, receiver = ctx.link
-        base = ctx.base_round
-        slot = self._slot_symbol
-        return [slot(base + offset, sender, receiver, sent) for offset, sent in enumerate(symbols)]
-
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        if self.slot_addressed:
-            return self._slot_symbol(ctx.round_index, ctx.sender, ctx.receiver, sent)
         if self.budget is not None and sent is not None:
             self.budget.observe_transmission()
         probability = self.insertion_probability if sent is None else self.corruption_probability
@@ -128,8 +94,6 @@ class RandomNoiseAdversary(Adversary):
         return corrupted
 
     def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if self.slot_addressed:
-            return self.corruption_schedule(ctx, symbols)
         # The RNG stream must match the per-slot path draw for draw, so the
         # corruption mask is drawn in offset order — but in one tight pass
         # with everything bound locally and no per-slot contexts (the budget
@@ -185,28 +149,6 @@ class RandomNoiseAdversary(Adversary):
         if self.insertion_probability > 0.0:
             return super().corrupt_window_packed(ctx, bits, present, count)
         probability = self.corruption_probability
-        if self.slot_addressed:
-            if probability <= 0.0:
-                return bits, present
-            sender, receiver = ctx.link
-            base = ctx.base_round
-            seed = self.seed
-            remaining = present
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                rng = slot_rng(seed, base + low.bit_length() - 1, sender, receiver)
-                if rng.random() >= probability:
-                    continue
-                received = _corrupt_randomly(rng, (bits >> (low.bit_length() - 1)) & 1)
-                if received is None:
-                    bits &= ~low
-                    present ^= low
-                elif received:
-                    bits |= low
-                else:
-                    bits &= ~low
-            return bits, present
         budget = self.budget
         if probability <= 0.0:
             if budget is not None and present:
@@ -274,12 +216,6 @@ class LinkTargetedAdversary(Adversary):
     communication (the theorems' noise model) or by an absolute
     ``max_corruptions`` (useful for "exactly k errors" experiments); when
     ``max_corruptions`` is set it is the only limit that applies.
-
-    With ``slot_addressed=True`` the attack becomes probability-only: every
-    transmitted slot on the target link (in a targeted phase) is corrupted
-    independently with ``corruption_probability`` from its own derived stream.
-    Both limits are cross-slot state, so the mode requires
-    ``max_corruptions is None`` and ``fraction == 0.0``.
     """
 
     target: Tuple[int, int] = (0, 1)
@@ -291,49 +227,13 @@ class LinkTargetedAdversary(Adversary):
     name: str = "link-targeted"
     oblivious: bool = True
     may_insert: bool = False
-    slot_addressed: bool = False
 
     def __post_init__(self) -> None:
-        if self.slot_addressed and (self.max_corruptions is not None or self.fraction != 0.0):
-            raise ValueError(
-                "slot-addressed LinkTargetedAdversary is probability-only: "
-                "max_corruptions and fraction are cross-slot limits and must "
-                "stay at None / 0.0"
-            )
         self._rng = make_rng(self.seed)
         self._budget = NoiseBudget(fraction=self.fraction)
         self._spent = 0
 
-    def _slot_symbol(
-        self, round_index: int, sender: int, receiver: int, phase: str, sent: Symbol
-    ) -> Symbol:
-        """The pure per-slot decision of the slot-addressed mode."""
-        if sent is None or (sender, receiver) != self.target:
-            return sent
-        if self.phases is not None and phase not in self.phases:
-            return sent
-        rng = slot_rng(self.seed, round_index, sender, receiver)
-        if rng.random() >= self.corruption_probability:
-            return sent
-        return _corrupt_randomly(rng, sent)
-
-    def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if not self.slot_addressed:
-            return super().corruption_schedule(ctx, symbols)  # raises
-        if ctx.link != self.target or (self.phases is not None and ctx.phase not in self.phases):
-            return list(symbols)
-        sender, receiver = ctx.link
-        base = ctx.base_round
-        phase = ctx.phase
-        slot = self._slot_symbol
-        return [
-            slot(base + offset, sender, receiver, phase, sent)
-            for offset, sent in enumerate(symbols)
-        ]
-
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        if self.slot_addressed:
-            return self._slot_symbol(ctx.round_index, ctx.sender, ctx.receiver, ctx.phase, sent)
         if sent is not None:
             self._budget.observe_transmission()
         if (ctx.sender, ctx.receiver) != self.target:
@@ -355,8 +255,6 @@ class LinkTargetedAdversary(Adversary):
         return _corrupt_randomly(self._rng, sent)
 
     def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if self.slot_addressed:
-            return self.corruption_schedule(ctx, symbols)
         # Only one directed link is ever attacked, so every other window is a
         # pure pass-through: observe the realised communication in bulk and
         # skip the per-slot machinery entirely.
@@ -367,13 +265,12 @@ class LinkTargetedAdversary(Adversary):
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
-        # Off-target windows pass their planes through untouched; only the
-        # sequential mode's budget observes their realised communication
-        # (the slot-addressed mode never touches the budget).
+        # Off-target windows pass their planes through untouched, but the
+        # budget observes their realised communication.
         if ctx.link != tuple(self.target) or (
             self.phases is not None and ctx.phase not in self.phases
         ):
-            if not self.slot_addressed and present:
+            if present:
                 self._budget.observe_transmissions(present.bit_count())
             return bits, present
         return super().corrupt_window_packed(ctx, bits, present, count)
@@ -391,56 +288,25 @@ class BurstAdversary(Adversary):
     Models the "all the noise lands in one short interval" worst case; the
     total damage is still capped by ``max_corruptions`` so experiments can
     relate it to a noise fraction after the fact.
-
-    With ``slot_addressed=True`` the cap goes away (``max_corruptions`` must
-    be ``None`` — a spend counter is cross-slot state): every transmitted
-    slot inside ``[start_round, end_round]`` is corrupted, each from its own
-    derived stream, which is the pure "total blackout interval" burst.
     """
 
     start_round: int = 0
     end_round: int = 0
-    max_corruptions: Optional[int] = 0
+    max_corruptions: int = 0
     seed: int = 0
     name: str = "burst"
     oblivious: bool = True
     may_insert: bool = False
-    slot_addressed: bool = False
 
     def __post_init__(self) -> None:
         if self.end_round < self.start_round:
             raise ValueError("end_round must be >= start_round")
-        if self.slot_addressed:
-            if self.max_corruptions is not None:
-                raise ValueError(
-                    "slot-addressed BurstAdversary corrupts its whole interval: "
-                    "max_corruptions is a cross-slot counter and must be None"
-                )
-        elif self.max_corruptions is None:
-            raise ValueError("max_corruptions may only be None when slot_addressed is True")
+        if self.max_corruptions is None or self.max_corruptions < 0:
+            raise ValueError("max_corruptions must be a non-negative int")
         self._rng = make_rng(self.seed)
         self._spent = 0
 
-    def _slot_symbol(self, round_index: int, sender: int, receiver: int, sent: Symbol) -> Symbol:
-        """The pure per-slot decision of the slot-addressed mode."""
-        if sent is None or not self.start_round <= round_index <= self.end_round:
-            return sent
-        return _corrupt_randomly(slot_rng(self.seed, round_index, sender, receiver), sent)
-
-    def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if not self.slot_addressed:
-            return super().corruption_schedule(ctx, symbols)  # raises
-        last_round = ctx.base_round + len(symbols) - 1
-        if last_round < self.start_round or ctx.base_round > self.end_round:
-            return list(symbols)
-        sender, receiver = ctx.link
-        base = ctx.base_round
-        slot = self._slot_symbol
-        return [slot(base + offset, sender, receiver, sent) for offset, sent in enumerate(symbols)]
-
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        if self.slot_addressed:
-            return self._slot_symbol(ctx.round_index, ctx.sender, ctx.receiver, sent)
         if sent is None:
             return sent
         if not self.start_round <= ctx.round_index <= self.end_round:
@@ -451,8 +317,6 @@ class BurstAdversary(Adversary):
         return _corrupt_randomly(self._rng, sent)
 
     def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if self.slot_addressed:
-            return self.corruption_schedule(ctx, symbols)
         # Windows disjoint from the burst interval (or after the cap is
         # exhausted) touch no state at all — not even the RNG.
         last_round = ctx.base_round + len(symbols) - 1
@@ -467,13 +331,15 @@ class BurstAdversary(Adversary):
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
-        # Windows disjoint from the burst interval (or, in the sequential
-        # mode, after the cap is exhausted) pass their planes straight
-        # through; overlapping windows take the generic unpack fallback.
+        # Windows disjoint from the burst interval (or after the cap is
+        # exhausted) pass their planes straight through; overlapping windows
+        # take the generic unpack fallback.
         last_round = ctx.base_round + count - 1
-        if last_round < self.start_round or ctx.base_round > self.end_round:
-            return bits, present
-        if not self.slot_addressed and self._spent >= self.max_corruptions:
+        if (
+            self._spent >= self.max_corruptions
+            or last_round < self.start_round
+            or ctx.base_round > self.end_round
+        ):
             return bits, present
         return super().corrupt_window_packed(ctx, bits, present, count)
 
@@ -488,11 +354,6 @@ class DeletionAdversary(Adversary):
 
     Useful for isolating the insertion/deletion aspect of the noise model
     (e.g. to show that baselines relying purely on timing fail).
-
-    With ``slot_addressed=True`` each deletion coin comes from the slot's own
-    derived stream (pure in ``(seed, round, link)``); a ``budget`` is
-    rejected for the same cross-slot reason as in
-    :class:`RandomNoiseAdversary`.
     """
 
     deletion_probability: float = 0.0
@@ -501,39 +362,13 @@ class DeletionAdversary(Adversary):
     name: str = "deletion"
     oblivious: bool = True
     may_insert: bool = False
-    slot_addressed: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.deletion_probability <= 1.0:
             raise ValueError("deletion_probability must lie in [0, 1]")
-        if self.slot_addressed and self.budget is not None:
-            raise ValueError(
-                "slot-addressed DeletionAdversary cannot carry a NoiseBudget: "
-                "a fraction budget feeds on realised communication, which is "
-                "cross-slot state"
-            )
         self._rng = make_rng(self.seed)
 
-    def _slot_symbol(self, round_index: int, sender: int, receiver: int, sent: Symbol) -> Symbol:
-        """The pure per-slot decision of the slot-addressed mode."""
-        if sent is None or self.deletion_probability <= 0.0:
-            return sent
-        rng = slot_rng(self.seed, round_index, sender, receiver)
-        if rng.random() >= self.deletion_probability:
-            return sent
-        return None
-
-    def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if not self.slot_addressed:
-            return super().corruption_schedule(ctx, symbols)  # raises
-        sender, receiver = ctx.link
-        base = ctx.base_round
-        slot = self._slot_symbol
-        return [slot(base + offset, sender, receiver, sent) for offset, sent in enumerate(symbols)]
-
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        if self.slot_addressed:
-            return self._slot_symbol(ctx.round_index, ctx.sender, ctx.receiver, sent)
         if sent is None:
             return sent
         if self.budget is not None:
@@ -547,8 +382,6 @@ class DeletionAdversary(Adversary):
         return None
 
     def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if self.slot_addressed:
-            return self.corruption_schedule(ctx, symbols)
         # Per-slot ``corrupt`` draws the RNG for every transmitted slot (even
         # at probability 0), so the batch path must too — one draw per
         # non-silent slot, in offset order.
@@ -591,24 +424,9 @@ class DeletionAdversary(Adversary):
         # bits of ``present`` LSB-first (= offset order, preserving the draw
         # sequence) and never touches ``bits`` except to keep the
         # bits-subset-of-present invariant.
-        probability = self.deletion_probability
-        if self.slot_addressed:
-            if probability <= 0.0:
-                return bits, present
-            sender, receiver = ctx.link
-            base = ctx.base_round
-            seed = self.seed
-            remaining = present
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                rng = slot_rng(seed, base + low.bit_length() - 1, sender, receiver)
-                if rng.random() < probability:
-                    bits &= ~low
-                    present ^= low
-            return bits, present
-        # The sequential mode draws once per transmitted slot even at
+        # Per-slot ``corrupt`` draws once per transmitted slot even at
         # probability 0, so the loop below must too.
+        probability = self.deletion_probability
         rand = self._rng.random
         budget = self.budget
         if budget is None:

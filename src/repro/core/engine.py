@@ -132,12 +132,14 @@ class InteractiveCodingSimulator:
 
     def run(self) -> SimulationResult:
         """Execute the whole simulation and return a :class:`SimulationResult`."""
-        reference = self.protocol.run_noiseless()
+        tracer = self._obs.tracer
+        with tracer.span("reference") if tracer is not None else nullcontext():
+            reference = self.protocol.run_noiseless()
         self.adversary.reset()
-        self._initialize_state()
+        with tracer.span("setup") if tracer is not None else nullcontext():
+            self._initialize_state()
 
         trace = PotentialTrace() if self.scheme.trace_potential else None
-        tracer = self._obs.tracer
         recorder = self._obs.recorder
         phase_rounds: Optional[Dict[str, int]] = {} if self._obs.metrics is not None else None
         iterations_run = 0
@@ -246,7 +248,6 @@ class InteractiveCodingSimulator:
             "transport.windows_exchanged": network.windows_exchanged,
             "transport.sparse_dispatches": network.sparse_dispatches,
             "transport.dense_dispatches": network.dense_dispatches,
-            "transport.merged_dispatches": network.merged_dispatches,
             "transport.packed_dispatches": network.packed_dispatches,
             "transport.idle_rounds_collapsed": network.idle_rounds_collapsed,
             "transport.transmissions": stats.transmissions,
@@ -420,26 +421,10 @@ class InteractiveCodingSimulator:
 
     # ------------------------------------------------- phase (ii): flag passing --
 
-    def _use_merged_phases(self) -> bool:
-        """Whether the adversary's contract permits whole-phase merging.
-
-        A slot-addressed adversary
-        (:attr:`~repro.adversary.base.Adversary.slot_addressed`) lets the
-        flag-passing, simulation and rewind phases each run as one
-        :meth:`~repro.network.transport.NoisyNetwork.exchange_phase` dispatch;
-        stateful adversaries truthfully report ``False`` and get the lockstep
-        phases.  Both schedules are bit-identical in deliveries, statistics
-        and round accounting (pinned by ``tests/test_phase_merge_fuzz.py``).
-        """
-        return self.adversary.slot_addressed
-
     def _flag_passing_phase(self, iteration: int) -> None:
         if not self.scheme.enable_flag_passing:
             for runtime in self.runtimes.values():
                 runtime.net_correct = runtime.status_flag
-            return
-        if self._use_merged_phases():
-            self._flag_passing_phase_merged(iteration)
             return
 
         depth = self.tree.depth
@@ -493,55 +478,9 @@ class InteractiveCodingSimulator:
             else:
                 runtime.net_correct = down_value.get(party, 0)
 
-    def _flag_passing_phase_merged(self, iteration: int) -> None:
-        """Phase (ii) under the slot-addressed contract: one merged dispatch.
-
-        The convergecast/broadcast schedule is the lockstep body's, level for
-        level, but each level's single round becomes one offset of a
-        whole-phase :class:`~repro.network.transport.PhaseExchange`: every
-        flag is evaluated against the adversary's pure schedule the moment it
-        is computed (the levels stay data-dependent — each sends the AND of
-        what the previous level *delivered*), and the transport accounts the
-        whole phase in one pass at commit.
-        """
-        depth = self.tree.depth
-        rounds = 2 * (depth - 1) if depth > 1 else 0
-        phase = self.network.exchange_phase(rounds, "flag_passing", iteration)
-        up_value: Dict[int, int] = {
-            party: runtime.status_flag for party, runtime in self.runtimes.items()
-        }
-        offset = 0
-        for level in range(depth, 1, -1):
-            for node in self.graph.nodes:
-                if self.tree.level[node] == level:
-                    parent = self.tree.parent[node]
-                    received = phase.send((node, parent), offset, up_value[node])
-                    up_value[parent] &= 1 if received == 1 else 0
-            offset += 1
-
-        down_value: Dict[int, int] = {self.tree.root: up_value[self.tree.root]}
-        for level in range(1, depth):
-            for node in self.graph.nodes:
-                if self.tree.level[node] == level and node in down_value:
-                    for child in self.tree.children[node]:
-                        received = phase.send((node, child), offset, down_value[node])
-                        bit = 1 if received == 1 else 0
-                        down_value[child] = bit & self.runtimes[child].status_flag
-            offset += 1
-        phase.commit()
-
-        for party, runtime in self.runtimes.items():
-            if party == self.tree.root:
-                runtime.net_correct = down_value[self.tree.root]
-            else:
-                runtime.net_correct = down_value.get(party, 0)
-
     # ------------------------------------------------- phase (iii): simulation --
 
     def _simulation_phase(self, iteration: int) -> None:
-        if self._use_merged_phases():
-            self._simulation_phase_merged(iteration)
-            return
         # Round 0: parties that should not simulate send ⊥ (encoded as a 1) to
         # every neighbour; everyone listens.
         bot_messages: Dict[Tuple[int, int], List[int]] = {}
@@ -652,114 +591,9 @@ class InteractiveCodingSimulator:
                 )
                 runtime.transcripts[neighbor].append(record)
 
-    def _simulation_phase_merged(self, iteration: int) -> None:
-        """Phase (iii) under the slot-addressed contract: one merged dispatch.
-
-        Offset 0 is the ⊥ round, offsets ``1 + r`` the chunk rounds.  Sends
-        and reads go through the phase handle, so inserted symbols on links
-        nobody sent on surface exactly as in the dense lockstep schedule, and
-        rounds where nothing is scheduled (and nothing can be inserted) skip
-        their read pass just like the lockstep clock-skip does.
-        """
-        window = self.chunked.max_chunk_rounds()
-        may_insert = self.adversary.may_insert
-        phase = self.network.exchange_phase(1 + window, "simulation", iteration)
-
-        # Round 0: parties that should not simulate send ⊥ (encoded as a 1).
-        for runtime in self.runtimes.values():
-            if runtime.net_correct == 0:
-                for neighbor in runtime.neighbors():
-                    phase.send((runtime.party, neighbor), 0, 1)
-        bot_from: Dict[int, Set[int]] = {party: set() for party in self.graph.nodes}
-        for (sender, receiver), symbol in phase.delivered_map(0).items():
-            if symbol == 1:
-                bot_from[receiver].add(sender)
-
-        active: Dict[int, Dict[int, int]] = {}
-        for runtime in self.runtimes.values():
-            if runtime.net_correct != 1:
-                active[runtime.party] = {}
-                continue
-            active[runtime.party] = {
-                neighbor: len(runtime.transcripts[neighbor]) + 1
-                for neighbor in runtime.neighbors()
-                if neighbor not in bot_from[runtime.party]
-            }
-
-        workspaces: Dict[int, Dict[str, object]] = {}
-        for party, links in active.items():
-            if not links:
-                continue
-            workspaces[party] = {
-                "received_map": self.runtimes[party].build_received_map(),
-                "sent": {neighbor: {} for neighbor in links},
-                "recv": {neighbor: {} for neighbor in links},
-            }
-
-        for offset in range(window):
-            sent_any = False
-            for party, links in active.items():
-                if not links:
-                    continue
-                workspace = workspaces[party]
-                for neighbor, chunk_index in links.items():
-                    chunk = self.chunked.chunk(chunk_index)
-                    if offset >= chunk.num_rounds:
-                        continue
-                    round_index = chunk.round_indices[offset]
-                    for sender, receiver in self.chunked.chunk_round_links(chunk_index)[offset]:
-                        if sender == party and receiver == neighbor:
-                            bit = self.runtimes[party].logic.send_bit(
-                                round_index, neighbor, workspace["received_map"]
-                            )
-                            phase.send((party, neighbor), 1 + offset, bit)
-                            workspace["sent"][neighbor][round_index] = bit
-                            sent_any = True
-            if not sent_any and not may_insert:
-                # Nothing scheduled anywhere this round and nothing insertable:
-                # the lockstep schedule skips the exchange (and its read pass).
-                continue
-            for party, links in active.items():
-                if not links:
-                    continue
-                workspace = workspaces[party]
-                for neighbor, chunk_index in links.items():
-                    chunk = self.chunked.chunk(chunk_index)
-                    if offset >= chunk.num_rounds:
-                        continue
-                    round_index = chunk.round_indices[offset]
-                    for sender, receiver in self.chunked.chunk_round_links(chunk_index)[offset]:
-                        if sender == neighbor and receiver == party:
-                            symbol = phase.delivered((neighbor, party), 1 + offset)
-                            workspace["recv"][neighbor][round_index] = symbol
-                            workspace["received_map"][(round_index, neighbor)] = symbol_to_bit(symbol)
-        phase.commit()
-
-        for party, links in active.items():
-            if not links:
-                continue
-            workspace = workspaces[party]
-            runtime = self.runtimes[party]
-            for neighbor, chunk_index in links.items():
-                view: List[Symbol] = []
-                for slot in self.chunked.link_slots(chunk_index, party, neighbor):
-                    if slot.sender == party:
-                        view.append(workspace["sent"][neighbor].get(slot.round_index))
-                    else:
-                        view.append(workspace["recv"][neighbor].get(slot.round_index))
-                record = ChunkRecord(
-                    chunk_index=chunk_index,
-                    link_view=tuple(view),
-                    received_by_round=tuple(sorted(workspace["recv"][neighbor].items())),
-                )
-                runtime.transcripts[neighbor].append(record)
-
     # --------------------------------------------------- phase (iv): rewind --
 
     def _rewind_phase(self, iteration: int) -> None:
-        if self._use_merged_phases():
-            self._rewind_phase_merged(iteration)
-            return
         already: Dict[int, Dict[int, bool]] = {
             party: {neighbor: False for neighbor in runtime.neighbors()}
             for party, runtime in self.runtimes.items()
@@ -821,72 +655,6 @@ class InteractiveCodingSimulator:
                             role="receiver",
                             depth=len(runtime.transcripts[neighbor]),
                         )
-
-    def _rewind_phase_merged(self, iteration: int) -> None:
-        """Phase (iv) under the slot-addressed contract: one merged dispatch.
-
-        The rounds stay data-dependent — each round's rewind requests depend
-        on the transcripts as truncated by the previous round's deliveries —
-        but every slot is evaluated through the phase handle the moment it is
-        sent.  A round with nothing sent under a non-inserting adversary
-        proves the rest of the phase quiescent (nothing delivered, state
-        unchanged), so the loop stops early; commit still advances the full
-        phase clock, like the lockstep quiescent-tail collapse.
-        """
-        already: Dict[int, Dict[int, bool]] = {
-            party: {neighbor: False for neighbor in runtime.neighbors()}
-            for party, runtime in self.runtimes.items()
-        }
-        rounds = self.scheme.rewind_round_count(self.graph)
-        may_insert = self.adversary.may_insert
-        recorder = self._obs.recorder
-        phase = self.network.exchange_phase(rounds, "rewind", iteration)
-        for round_index in range(rounds):
-            sent_any = False
-            for runtime in self.runtimes.values():
-                party = runtime.party
-                min_chunk = runtime.min_chunk()
-                for neighbor in runtime.neighbors():
-                    if runtime.link_status[neighbor] == STATUS_MEETING_POINTS:
-                        continue
-                    if already[party][neighbor]:
-                        continue
-                    if len(runtime.transcripts[neighbor]) > min_chunk:
-                        phase.send((party, neighbor), round_index, 1)
-                        runtime.transcripts[neighbor].truncate_last(1)
-                        already[party][neighbor] = True
-                        self._counters["rewinds_sent"] += 1
-                        sent_any = True
-                        if recorder is not None:
-                            recorder.emit(
-                                "rewind",
-                                iteration=iteration,
-                                link=link_label(party, neighbor),
-                                role="sender",
-                                depth=len(runtime.transcripts[neighbor]),
-                            )
-            if not sent_any and not may_insert:
-                break
-            for runtime in self.runtimes.values():
-                party = runtime.party
-                for neighbor in runtime.neighbors():
-                    if phase.delivered((neighbor, party), round_index) != 1:
-                        continue
-                    if runtime.link_status[neighbor] == STATUS_MEETING_POINTS:
-                        continue
-                    if already[party][neighbor]:
-                        continue
-                    runtime.transcripts[neighbor].truncate_last(1)
-                    already[party][neighbor] = True
-                    if recorder is not None:
-                        recorder.emit(
-                            "rewind",
-                            iteration=iteration,
-                            link=link_label(party, neighbor),
-                            role="receiver",
-                            depth=len(runtime.transcripts[neighbor]),
-                        )
-        phase.commit()
 
     # --------------------------------------------------------- bookkeeping --
 

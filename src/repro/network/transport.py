@@ -34,10 +34,9 @@ Four transmission paths exist:
 * the **merged phase path**: ``exchange_phase`` opens one
   :class:`PhaseExchange` covering a whole phase's rounds for adversaries
   honouring the slot-addressed contract
-  (:attr:`~repro.adversary.base.Adversary.slot_addressed`).  The engine
-  evaluates each slot the moment it knows the sent symbol — data-dependent
-  rounds included — and the transport records the entire phase in one
-  accounting pass at commit, bit-identical to the lockstep schedules above.
+  (:attr:`~repro.adversary.base.Adversary.slot_addressed`).  No engine path
+  uses it; it is kept as a transport-level unit (``tests/test_transport.py``,
+  ``benchmarks/test_bench_phase_merge.py``).
 
 The engine never talks to the adversary directly; everything goes through
 this class so the accounting cannot be bypassed.
@@ -488,7 +487,7 @@ class NoisyNetwork:
 class PhaseExchange:
     """One merged transport dispatch covering a whole phase's rounds.
 
-    Created by :meth:`NoisyNetwork.exchange_phase`.  The engine drives it in
+    Created by :meth:`NoisyNetwork.exchange_phase`.  A caller drives it in
     three moves:
 
     * :meth:`send` — transmit one symbol on one directed link at a per-phase

@@ -5,8 +5,8 @@ paper's analysis names — while a trial runs:
 
 * ``corruption`` — one event per (round, link) slot the adversary changed,
   classified as substitution / deletion / insertion (the transport emits
-  these on all three transmission paths: per-slot, batched window, merged
-  phase);
+  these on every transmission path: per-slot, batched window, packed
+  window, whole phase);
 * ``hash_collision`` — the meeting-points digest matched but the underlying
   transcripts diverge (the engine's ground-truth check);
 * ``meeting_point`` — per-link meeting-point decisions: full matches,

@@ -509,29 +509,15 @@ STOCK_CONTRACT_CASES = {
     "random-noise-budgeted": lambda: RandomNoiseAdversary(
         corruption_probability=0.4, seed=2, budget=NoiseBudget(fraction=0.2)
     ),
-    "random-noise-slot": lambda: RandomNoiseAdversary(
-        corruption_probability=0.3, insertion_probability=0.2, seed=1, slot_addressed=True
-    ),
     "deletion": lambda: DeletionAdversary(deletion_probability=0.3, seed=3),
-    "deletion-slot": lambda: DeletionAdversary(
-        deletion_probability=0.3, seed=3, slot_addressed=True
-    ),
     "link-targeted": lambda: LinkTargetedAdversary(
         target=(0, 1), fraction=0.3, corruption_probability=0.8, seed=4
     ),
-    "link-targeted-slot": lambda: LinkTargetedAdversary(
-        target=(0, 1), corruption_probability=0.8, seed=4, slot_addressed=True
-    ),
     "burst": lambda: BurstAdversary(start_round=10, end_round=40, max_corruptions=6, seed=5),
-    "burst-slot": lambda: BurstAdversary(
-        start_round=10, end_round=40, max_corruptions=None, seed=5, slot_addressed=True
-    ),
     "composite-slot": lambda: CompositeAdversary(
         components=(
-            RandomNoiseAdversary(corruption_probability=0.2, seed=6, slot_addressed=True),
-            BurstAdversary(
-                start_round=20, end_round=50, max_corruptions=None, seed=7, slot_addressed=True
-            ),
+            AdditiveObliviousAdversary(pattern={(4, 0, 1): 2, (21, 1, 0): 1, (30, 1, 2): 2}),
+            FixingObliviousAdversary(pattern={(4, 0, 1): 1, (25, 2, 1): None, (38, 1, 2): 0}),
         )
     ),
     "composite-stateful": lambda: CompositeAdversary(
@@ -684,37 +670,13 @@ class TestCheckContract:
 
 
 class TestSlotAddressedModes:
-    """Unit behaviour of the opt-in slot-addressed adversary modes."""
-
-    def test_random_noise_rejects_budget(self):
-        with pytest.raises(ValueError, match="cross-slot"):
-            RandomNoiseAdversary(
-                corruption_probability=0.5,
-                seed=0,
-                budget=NoiseBudget(fraction=0.1),
-                slot_addressed=True,
-            )
-
-    def test_deletion_rejects_budget(self):
-        with pytest.raises(ValueError, match="cross-slot"):
-            DeletionAdversary(
-                deletion_probability=0.5,
-                seed=0,
-                budget=NoiseBudget(fraction=0.1),
-                slot_addressed=True,
-            )
-
-    def test_link_targeted_rejects_cross_slot_limits(self):
-        with pytest.raises(ValueError, match="probability-only"):
-            LinkTargetedAdversary(target=(0, 1), max_corruptions=3, seed=0, slot_addressed=True)
-        with pytest.raises(ValueError, match="probability-only"):
-            LinkTargetedAdversary(target=(0, 1), fraction=0.1, seed=0, slot_addressed=True)
+    """Which adversaries report the slot-addressed contract, and its laws."""
 
     def test_burst_cap_rules(self):
-        with pytest.raises(ValueError, match="must be None"):
-            BurstAdversary(start_round=0, end_round=9, max_corruptions=3, slot_addressed=True)
-        with pytest.raises(ValueError, match="only be None"):
+        with pytest.raises(ValueError, match="non-negative int"):
             BurstAdversary(start_round=0, end_round=9, max_corruptions=None)
+        with pytest.raises(ValueError, match="non-negative int"):
+            BurstAdversary(start_round=0, end_round=9, max_corruptions=-1)
 
     def test_schedule_requires_the_flag(self):
         adversary = RandomNoiseAdversary(corruption_probability=0.5, seed=0)
@@ -722,8 +684,11 @@ class TestSlotAddressedModes:
             adversary.corruption_schedule(_window_ctx(), (1, 0, 1))
 
     def test_slot_addressed_schedule_is_grouping_independent(self):
-        adversary = RandomNoiseAdversary(
-            corruption_probability=0.5, insertion_probability=0.3, seed=13, slot_addressed=True
+        # Offsets on transmitted slots and on the silent slots 102 and 104
+        # (insertions), straddling the split point of the halves.
+        adversary = AdditiveObliviousAdversary(
+            pattern={(100, 0, 1): 1, (102, 0, 1): 2, (103, 0, 1): 2, (104, 0, 1): 1,
+                     (106, 0, 1): 1}
         )
         symbols = (1, 0, None, 1, None, 0, 1, 1)
         whole = adversary.corruption_schedule(_window_ctx(base_round=100), symbols)
@@ -740,13 +705,13 @@ class TestSlotAddressedModes:
         pure = CompositeAdversary(
             components=(
                 NoiselessAdversary(),
-                RandomNoiseAdversary(corruption_probability=0.2, seed=0, slot_addressed=True),
+                AdditiveObliviousAdversary(pattern={(3, 0, 1): 1, (5, 1, 0): 2}),
             )
         )
         assert pure.slot_addressed is True
         poisoned = CompositeAdversary(
             components=(
-                RandomNoiseAdversary(corruption_probability=0.2, seed=0, slot_addressed=True),
+                AdditiveObliviousAdversary(pattern={(3, 0, 1): 1, (5, 1, 0): 2}),
                 EchoSpoofingAdversary(target=(0, 1), fraction=0.1, seed=1),
             )
         )

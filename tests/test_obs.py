@@ -285,12 +285,14 @@ class TestEngineInstrumentation:
             _run(trials=1)
         spans = tracer.drain()
         names = {span["name"] for span in spans}
-        assert {"trial_set", "trial", "iteration", "phase"} <= names
+        assert {"trial_set", "trial", "reference", "setup", "iteration", "phase"} <= names
         by_id = {span["span_id"]: span for span in spans}
         phases = [span for span in spans if span["name"] == "phase"]
         assert phases and all(
             by_id[span["parent_id"]]["name"] == "iteration" for span in phases
         )
+        setup_spans = [span for span in spans if span["name"] in ("reference", "setup")]
+        assert all(by_id[span["parent_id"]]["name"] == "trial" for span in setup_spans)
 
 
 class TestStoreAndCli:

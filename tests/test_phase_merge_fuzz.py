@@ -1,32 +1,32 @@
-"""Differential fuzzing of whole-phase round merging.
+"""Differential fuzzing of the engine's production path against the oracle.
 
-The engine collapses the flag-passing, simulation and rewind phases into one
-:meth:`~repro.network.transport.NoisyNetwork.exchange_phase` dispatch per
-phase whenever the adversary honours the slot-addressed contract
-(:attr:`~repro.adversary.base.Adversary.slot_addressed`).  The merged
-schedule is advertised as **bit-identical**: not "statistically equivalent", but the same
-``SimulationResult``, the same :class:`~repro.network.channel.ChannelStats`
-counters, the same round clock and the same adversary end state (RNG stream
-positions, budget counters) as the per-round lockstep schedule.
+The engine runs every phase with one schedule: the flag-passing, simulation
+and rewind phases round by round through batched ``exchange_window``
+dispatches, the meeting-points exchange through ``exchange_window_packed``'s
+``(bits, present)`` plane pairs.  That path is advertised as
+**bit-identical** to the per-slot reference: not "statistically equivalent",
+but the same ``SimulationResult``, the same
+:class:`~repro.network.channel.ChannelStats` counters, the same round clock
+and the same adversary end state (RNG stream positions, budget counters).
 
 This suite pins that claim differentially: hypothesis draws a workload
-(scheme x topology x stock adversary x seed x observability mode), runs it
-twice — once as the reference (the adversary wrapped in
-:class:`_LockstepProxy`, which reports ``slot_addressed=False`` so the engine
-takes the per-round schedule, with every window routed through the per-slot
-transport oracle) and once on the production path (merged phases, and the
-meeting-points exchange through ``exchange_window_packed``'s
-``(bits, present)`` plane pairs) — and requires every observable to match
-exactly.  One case uses a deliberately non-slot-addressed adversary to pin
-the fallback: the engine must not merge (zero merged dispatches) while the
-packed transport, which is legal for *every* adversary
-(``corrupt_window_packed`` is contract-pinned bit-identical), still runs.
+(scheme x topology x stock adversary x seed x observability mode) and runs it
+twice, each time with a freshly built adversary of the same family — once as
+the reference (every window routed through the per-slot transport oracle by
+:func:`oracles.route_per_slot`, i.e. one ``transmit`` / ``corrupt`` per slot)
+and once on the production path — and requires every observable to match
+exactly.  The families cover the pattern adversaries that report
+``slot_addressed=True`` (noiseless, additive, fixing) and the sequential
+stochastic ones (random noise with a fraction budget, deletion, link-targeted,
+capped burst, a composite of the last two kinds, and a plain random-noise
+"stateful-fallback").  The engine never opens a whole-phase
+:class:`~repro.network.transport.PhaseExchange` for any of them.
 
 The observability mode covers the flight recorder too: a run under an
 ambient :class:`~repro.obs.recorder.FlightRecorder` must stay bit-identical
 (results, stats, budgets, RNG positions), and the *recorded* corruption
-events must agree across schedules up to emission order (the merged path
-emits per link at commit; the lockstep path emits round by round — same
+events must agree across the two paths up to emission order (the batched
+transport emits per link per window; the per-slot oracle slot by slot — same
 multiset, different interleaving).
 
 Reproducing a failure
@@ -53,7 +53,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import route_per_slot
 
-from repro.adversary.base import Adversary, NoiselessAdversary
+from repro.adversary.base import NoiseBudget, NoiselessAdversary
 from repro.adversary.contract import _state_snapshot
 from repro.adversary.oblivious import AdditiveObliviousAdversary, FixingObliviousAdversary
 from repro.adversary.strategies import (
@@ -100,9 +100,8 @@ def _oblivious_pattern(graph, seed, values, density=0.02, horizon=600):
     return pattern
 
 
-#: name -> builder(graph, seed) for every adversary family under fuzz.  All
-#: but the last are slot-addressed; "stateful-fallback" pins that the engine
-#: never merges for adversaries that truthfully report slot_addressed=False.
+#: name -> builder(graph, seed) for every adversary family under fuzz.  The
+#: first three report slot_addressed=True; the rest are sequential (stateful).
 _ADVERSARIES = {
     "noiseless": lambda graph, seed: NoiselessAdversary(),
     "additive": lambda graph, seed: AdditiveObliviousAdversary(
@@ -111,36 +110,29 @@ _ADVERSARIES = {
     "fixing": lambda graph, seed: FixingObliviousAdversary(
         pattern=_oblivious_pattern(graph, seed, (0, 1, None))
     ),
-    "random-noise-slot": lambda graph, seed: RandomNoiseAdversary(
+    "random-noise": lambda graph, seed: RandomNoiseAdversary(
         corruption_probability=0.01,
         insertion_probability=0.002,
         seed=seed,
-        slot_addressed=True,
+        budget=NoiseBudget(fraction=0.005),
     ),
-    "deletion-slot": lambda graph, seed: DeletionAdversary(
-        deletion_probability=0.01, seed=seed, slot_addressed=True
-    ),
-    "link-targeted-slot": lambda graph, seed: LinkTargetedAdversary(
+    "deletion": lambda graph, seed: DeletionAdversary(deletion_probability=0.01, seed=seed),
+    "link-targeted": lambda graph, seed: LinkTargetedAdversary(
         target=graph.edges[seed % len(graph.edges)],
+        fraction=0.05,
         corruption_probability=0.05,
-        max_corruptions=None,
         seed=seed,
-        slot_addressed=True,
     ),
-    "burst-slot": lambda graph, seed: BurstAdversary(
-        start_round=5 + seed % 20, end_round=40 + seed % 60, max_corruptions=None, seed=seed,
-        slot_addressed=True,
+    "burst": lambda graph, seed: BurstAdversary(
+        start_round=5 + seed % 20, end_round=40 + seed % 60, max_corruptions=8, seed=seed
     ),
-    "composite-slot": lambda graph, seed: CompositeAdversary(
+    "composite": lambda graph, seed: CompositeAdversary(
         components=(
-            BurstAdversary(
-                start_round=10, end_round=30, max_corruptions=None, seed=seed, slot_addressed=True
-            ),
+            BurstAdversary(start_round=10, end_round=30, max_corruptions=6, seed=seed),
             RandomNoiseAdversary(
                 corruption_probability=0.005,
                 insertion_probability=0.001,
                 seed=seed + 1,
-                slot_addressed=True,
             ),
         )
     ),
@@ -148,42 +140,6 @@ _ADVERSARIES = {
         corruption_probability=0.01, insertion_probability=0.002, seed=seed
     ),
 }
-
-
-class _LockstepProxy(Adversary):
-    """Wraps an adversary and reports ``slot_addressed=False``.
-
-    The engine then runs the per-round lockstep schedule against the very
-    same adversary object: every corruption entry point and the delivery hook
-    delegate to it, and every other attribute (``budget``, ``may_insert``,
-    ...) reads through.
-    """
-
-    slot_addressed = False
-
-    def __init__(self, inner: Adversary) -> None:
-        self.inner = inner
-        self.name = inner.name
-        self.oblivious = inner.oblivious
-        self.may_insert = inner.may_insert
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def corrupt(self, ctx, sent):
-        return self.inner.corrupt(ctx, sent)
-
-    def corrupt_window(self, ctx, symbols):
-        return self.inner.corrupt_window(ctx, symbols)
-
-    def corrupt_window_packed(self, ctx, bits, present, count):
-        return self.inner.corrupt_window_packed(ctx, bits, present, count)
-
-    def notify_delivery(self, ctx, sent, received):
-        self.inner.notify_delivery(ctx, sent, received)
-
-    def reset(self):
-        self.inner.reset()
 
 
 def _workload(topology_name, seed):
@@ -199,18 +155,17 @@ def _workload(topology_name, seed):
 _OBS_MODES = ("dark", "metrics", "recorder")
 
 
-def _run(scheme_name, topology_name, adversary_name, seed, merge, obs_mode="dark"):
+def _run(scheme_name, topology_name, adversary_name, seed, oracle, obs_mode="dark"):
     """One full simulation; returns (simulator, result, recorder-or-None).
 
-    ``merge=True`` runs the production path; the reference runs of this suite
-    pass ``False``: the adversary behind a :class:`_LockstepProxy` (per-round
-    schedule) and every window through the per-slot transport oracle."""
+    ``oracle=False`` runs the production path; the reference runs of this
+    suite pass ``True``, routing every window through the per-slot transport
+    oracle.  Each call builds its own adversary, so the two runs share no
+    state."""
     graph, protocol = _workload(topology_name, seed)
     adversary = _ADVERSARIES[adversary_name](graph, seed)
-    if not merge:
-        adversary = _LockstepProxy(adversary)
     # A ring big enough to never drop: event-multiset comparison between the
-    # two schedules needs the complete record (retention under overflow is
+    # two paths needs the complete record (retention under overflow is
     # emission-order-dependent, which is exactly what differs).
     recorder = FlightRecorder(capacity=1_000_000) if obs_mode == "recorder" else None
     if obs_mode == "dark":
@@ -224,7 +179,7 @@ def _run(scheme_name, topology_name, adversary_name, seed, merge, obs_mode="dark
         simulator = InteractiveCodingSimulator(
             protocol, scheme=scheme_by_name(scheme_name), adversary=adversary, seed=seed
         )
-        if not merge:
+        if oracle:
             route_per_slot(simulator.network)
         result = simulator.run()
     return simulator, result, recorder
@@ -245,16 +200,17 @@ def _result_fingerprint(result):
     )
 
 
-def _assert_bit_identical(reference_run, merged_run):
+def _assert_bit_identical(reference_run, production_run):
     reference_sim, reference = reference_run[:2]
-    merged_sim, merged = merged_run[:2]
-    assert _result_fingerprint(merged) == _result_fingerprint(reference)
-    assert vars(merged_sim.network.stats) == vars(reference_sim.network.stats)
-    assert merged_sim.network.current_round == reference_sim.network.current_round
-    # RNG stream positions and budget counters: the merged schedule must
-    # consume the adversary's state exactly like lockstep did.
-    assert _state_snapshot(merged_sim.adversary) == _state_snapshot(reference_sim.adversary.inner)
+    production_sim, production = production_run[:2]
+    assert _result_fingerprint(production) == _result_fingerprint(reference)
+    assert vars(production_sim.network.stats) == vars(reference_sim.network.stats)
+    assert production_sim.network.current_round == reference_sim.network.current_round
+    # RNG stream positions and budget counters: the production path must
+    # consume the adversary's state exactly like the per-slot oracle did.
+    assert _state_snapshot(production_sim.adversary) == _state_snapshot(reference_sim.adversary)
     assert reference_sim.network.merged_dispatches == 0
+    assert production_sim.network.merged_dispatches == 0
 
 
 def _events_by_kind(recorder):
@@ -269,22 +225,23 @@ def _event_key(event):
     return json.dumps(event, sort_keys=True, default=str)
 
 
-def _assert_same_recording(reference_recorder, merged_recorder):
-    """Both schedules must record the same protocol events.
+def _assert_same_recording(reference_recorder, production_recorder):
+    """Both paths must record the same protocol events.
 
-    Corruption events are compared as multisets (the merged transport emits
-    per link at phase commit, the lockstep transport round by round — same
-    slots, different interleaving).  Engine- and session-emitted events
-    (meeting points, rewinds, hash collisions, Φ) follow the same
-    runtime-iteration order under both schedules, so they must match in
-    sequence, not just as sets.
+    Corruption events are compared as multisets (the batched transport emits
+    per link per window, the per-slot oracle slot by slot — same slots,
+    different interleaving).  Engine- and session-emitted events (meeting
+    points, rewinds, hash collisions, Φ) follow the same runtime-iteration
+    order on both paths, so they must match in sequence, not just as sets.
     """
     assert reference_recorder.events_dropped == 0
-    assert merged_recorder.events_dropped == 0
+    assert production_recorder.events_dropped == 0
     ref_corruption, ref_rest = _events_by_kind(reference_recorder)
-    merged_corruption, merged_rest = _events_by_kind(merged_recorder)
-    assert sorted(map(_event_key, merged_corruption)) == sorted(map(_event_key, ref_corruption))
-    assert list(map(_event_key, merged_rest)) == list(map(_event_key, ref_rest))
+    production_corruption, production_rest = _events_by_kind(production_recorder)
+    assert sorted(map(_event_key, production_corruption)) == sorted(
+        map(_event_key, ref_corruption)
+    )
+    assert list(map(_event_key, production_rest)) == list(map(_event_key, ref_rest))
 
 
 class TestPhaseMergeDifferential:
@@ -299,61 +256,55 @@ class TestPhaseMergeDifferential:
     def test_merged_schedule_is_bit_identical(
         self, scheme_name, topology_name, adversary_name, seed, obs_mode
     ):
-        reference_run = _run(scheme_name, topology_name, adversary_name, seed, False, obs_mode)
-        merged_run = _run(scheme_name, topology_name, adversary_name, seed, True, obs_mode)
-        _assert_bit_identical(reference_run, merged_run)
+        """Production path vs per-slot oracle, same adversary family."""
+        reference_run = _run(scheme_name, topology_name, adversary_name, seed, True, obs_mode)
+        production_run = _run(scheme_name, topology_name, adversary_name, seed, False, obs_mode)
+        _assert_bit_identical(reference_run, production_run)
         if obs_mode == "recorder":
-            _assert_same_recording(reference_run[2], merged_run[2])
-        merged_sim = merged_run[0]
+            _assert_same_recording(reference_run[2], production_run[2])
         assert reference_run[0].network.packed_dispatches == 0
         # The packed meeting-points exchange runs for every adversary —
         # corrupt_window_packed is contract-pinned bit-identical.
-        assert merged_sim.network.packed_dispatches > 0
-        if adversary_name == "stateful-fallback":
-            # slot_addressed is truthfully False: the engine must not merge.
-            assert not merged_sim.adversary.slot_addressed
-            assert merged_sim.network.merged_dispatches == 0
-        else:
-            assert merged_sim.adversary.slot_addressed
-            assert merged_sim.network.merged_dispatches > 0
+        assert production_run[0].network.packed_dispatches > 0
 
     @_FUZZ
     @given(
-        adversary_name=st.sampled_from(sorted(set(_ADVERSARIES) - {"stateful-fallback"})),
+        adversary_name=st.sampled_from(sorted(_ADVERSARIES)),
         seed=st.integers(0, 10_000),
         obs_mode=st.sampled_from(tuple(mode for mode in _OBS_MODES if mode != "dark")),
     )
     def test_merged_schedule_is_obs_invariant(self, adversary_name, seed, obs_mode):
-        """Observability (metrics or recorder) must not perturb the merged
-        schedule (and vice versa)."""
-        dark_run = _run("algorithm_crs", "ring5", adversary_name, seed, True, "dark")
-        observed_run = _run("algorithm_crs", "ring5", adversary_name, seed, True, obs_mode)
+        """Observability (metrics or recorder) must not perturb the
+        production path (and vice versa)."""
+        dark_run = _run("algorithm_crs", "ring5", adversary_name, seed, False, "dark")
+        observed_run = _run("algorithm_crs", "ring5", adversary_name, seed, False, obs_mode)
         assert _result_fingerprint(observed_run[1]) == _result_fingerprint(dark_run[1])
         assert vars(observed_run[0].network.stats) == vars(dark_run[0].network.stats)
         assert observed_run[0].network.merged_dispatches == dark_run[0].network.merged_dispatches
 
 
 class TestMergedDispatchObservability:
-    def test_merged_dispatch_counter_is_flushed(self):
-        registry = MetricsRegistry()
-        with use_obs(metrics=registry):
-            simulator, _, _ = _run("algorithm_crs", "line4", "noiseless", 3, True, "dark")
-        counters = registry.snapshot()["counters"]
-        assert counters["transport.merged_dispatches"] == simulator.network.merged_dispatches
-        assert counters["transport.merged_dispatches"] > 0
-
     def test_reference_schedule_never_merges(self):
-        registry = MetricsRegistry()
-        with use_obs(metrics=registry):
-            _run("algorithm_crs", "line4", "noiseless", 3, False, "dark")
-        counters = registry.snapshot()["counters"]
-        assert "transport.merged_dispatches" not in counters
+        """Neither path opens a whole-phase dispatch, not even for adversaries
+        that report ``slot_addressed=True``, and no merged counter is flushed."""
+        for adversary_name in ("noiseless", "additive"):
+            for oracle in (True, False):
+                registry = MetricsRegistry()
+                with use_obs(metrics=registry):
+                    simulator, _, _ = _run(
+                        "algorithm_crs", "line4", adversary_name, 3, oracle, "dark"
+                    )
+                assert simulator.adversary.slot_addressed
+                assert simulator.network.merged_dispatches == 0
+                counters = registry.snapshot()["counters"]
+                assert "transport.merged_dispatches" not in counters
 
     def test_recorder_sees_corruptions_on_merged_schedule(self):
-        """The merged transport must feed the flight recorder per slot: one
-        corruption event per changed slot, agreeing with the channel stats."""
+        """The production transport must feed the flight recorder per slot:
+        one corruption event per changed slot, agreeing with the channel
+        stats."""
         simulator, _, recorder = _run(
-            "algorithm_crs", "ring5", "random-noise-slot", 7, True, "recorder"
+            "algorithm_crs", "ring5", "random-noise", 7, False, "recorder"
         )
         corruption, _ = _events_by_kind(recorder)
         assert len(corruption) == simulator.network.stats.corruptions > 0

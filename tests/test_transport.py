@@ -545,3 +545,48 @@ class TestPhaseExchange:
         assert network.current_round == 3
         assert network.stats.transmissions == 2
         assert (network.windows_exchanged, network.merged_dispatches) == (1, 1)
+
+    @pytest.mark.parametrize("kind", ["noiseless", "additive", "fixing"])
+    def test_matches_per_round_dispatch(self, kind):
+        """Deliveries, stats and clock of one phase dispatch equal one
+        ``exchange_window`` per round, insertions on idle links included."""
+        graph = random_connected_topology(6, 0.5, seed=2)
+        rng = make_rng(11)
+        rounds = 40
+        pattern = {
+            (round_index, sender, receiver): rng.choice(
+                (1, 2) if kind == "additive" else (0, 1, None)
+            )
+            for round_index in range(rounds)
+            for sender, receiver in graph.directed_edges()
+            if rng.random() < 0.1
+        }
+        plan = [
+            {link: rng.choice((0, 1)) for link in graph.directed_edges() if rng.random() < 0.2}
+            for _ in range(rounds)
+        ]
+
+        def build():
+            if kind == "noiseless":
+                return NoiselessAdversary()
+            if kind == "additive":
+                return AdditiveObliviousAdversary(pattern=pattern)
+            return FixingObliviousAdversary(pattern=pattern)
+
+        reference = NoisyNetwork(graph, adversary=build())
+        expected = []
+        for sends in plan:
+            window = reference.exchange_window(
+                {link: [symbol] for link, symbol in sends.items()}, 1, "simulation", 0
+            )
+            expected.append({link: got[0] for link, got in window.items() if got[0] is not None})
+
+        network = NoisyNetwork(graph, adversary=build())
+        phase = network.exchange_phase(rounds, "simulation", 0)
+        for offset, sends in enumerate(plan):
+            for link, symbol in sends.items():
+                phase.send(link, offset, symbol)
+            assert phase.delivered_map(offset) == expected[offset]
+        phase.commit()
+        assert vars(network.stats) == vars(reference.stats)
+        assert network.current_round == reference.current_round
