@@ -141,13 +141,13 @@ class RandomNoiseAdversary(Adversary):
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
-        # Insertions touch silent slots too; that rare configuration keeps
-        # the generic unpack fallback.  Otherwise only the transmitted slots
-        # matter, so the kernel walks the set bits of ``present`` LSB-first —
-        # which is exactly offset order, preserving the RNG draw sequence of
-        # the symbol paths draw for draw.
+        # Without insertions only the transmitted slots matter, so the kernel
+        # walks the set bits of ``present`` LSB-first — which is exactly
+        # offset order, preserving the RNG draw sequence of the symbol paths
+        # draw for draw.  Insertions make silent slots draw too, so that case
+        # walks every slot.
         if self.insertion_probability > 0.0:
-            return super().corrupt_window_packed(ctx, bits, present, count)
+            return self._corrupt_every_slot_packed(bits, present, count)
         probability = self.corruption_probability
         budget = self.budget
         if probability <= 0.0:
@@ -195,6 +195,60 @@ class RandomNoiseAdversary(Adversary):
                 bits &= ~low
         budget.transmissions_seen = seen
         budget.corruptions_spent = spent
+        return bits, present
+
+    def _corrupt_every_slot_packed(self, bits: int, present: int, count: int) -> Tuple[int, int]:
+        """The packed kernel when silent slots may draw (insertions enabled).
+
+        Walks all ``count`` slots in offset order and draws exactly what
+        :meth:`corrupt_window` draws: one ``random()`` per slot whose
+        probability (insertion if silent, corruption if present) is positive,
+        then the corruption choice on a hit the budget allows.  Slots are
+        visited run by run — maximal stretches of equally present slots, so
+        an all-present or all-silent window is one tight loop.  The budget
+        only reads its transmission count at a hit, so that count is the
+        popcount of ``present`` up to the hit slot instead of a per-slot add.
+        """
+        rng = self._rng
+        rand = rng.random
+        budget = self.budget
+        if budget is not None:
+            seen = budget.transmissions_seen
+            spent = budget.corruptions_spent
+            fraction = budget.fraction
+            allowance = budget.absolute_allowance
+            allowance_at = budget.allowance_at
+        sent_present = present
+        # Bit i of ``edges`` is set where slot i + 1 differs in presence from
+        # slot i: each run ends just past the next set bit.
+        edges = sent_present ^ (sent_present >> 1)
+        offset = 0
+        while offset < count:
+            transmitted = (sent_present >> offset) & 1
+            rest = edges >> offset
+            end = min(count, offset + (rest & -rest).bit_length()) if rest else count
+            probability = self.corruption_probability if transmitted else self.insertion_probability
+            if probability:
+                for slot in range(offset, end):
+                    if rand() >= probability:
+                        continue
+                    low = 1 << slot
+                    if budget is not None:
+                        seen_here = seen + (sent_present & ((low << 1) - 1)).bit_count()
+                        if spent + 1 > allowance_at(fraction, seen_here, allowance):
+                            continue
+                        spent += 1
+                    received = _corrupt_randomly(rng, (bits >> slot) & 1 if transmitted else None)
+                    if received is None:
+                        bits &= ~low
+                        present &= ~low
+                    else:
+                        present |= low
+                        bits = bits | low if received else bits & ~low
+            offset = end
+        if budget is not None:
+            budget.transmissions_seen = seen + sent_present.bit_count()
+            budget.corruptions_spent = spent
         return bits, present
 
     def reset(self) -> None:

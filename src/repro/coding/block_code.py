@@ -99,33 +99,38 @@ class BinaryBlockCode:
 
     # -- public API ------------------------------------------------------------------
 
-    def encode(self, bits: Sequence[int]) -> List[int]:
-        """Encode ``message_bits`` bits into ``codeword_bits`` bits."""
-        if len(bits) != self.message_bits:
-            raise ValueError(f"expected {self.message_bits} message bits, got {len(bits)}")
-        # Bit i of the message is bit i of a little-endian int; its bytes are
-        # the RS message symbols (the last one zero-padded).
-        packed = int(bytes(bits[::-1]).translate(_ASCII_BITS), 2)
-        symbols = packed.to_bytes(self.message_symbols, "little")
+    def encode_int(self, value: int) -> int:
+        """Encode a message packed LSB first (bit ``i`` = message bit ``i``).
+
+        Returns the ``codeword_bits``-bit codeword packed the same way.  The
+        message bytes are the RS message symbols (the last one zero-padded).
+        """
+        if value < 0 or value >> self.message_bits:
+            raise ValueError(f"message must fit in {self.message_bits} bits")
+        symbols = value.to_bytes(self.message_symbols, "little")
         codeword = bytearray()
         cursor = 0
         for code in self._blocks:
             codeword += code.encode_bytes(symbols[cursor:cursor + code.message_length])
             cursor += code.message_length
-        return _bytes_to_bits(codeword)
+        return int.from_bytes(codeword, "little")
 
-    def decode(self, received: Sequence[Symbol]) -> List[int]:
-        """Decode a received bit sequence (entries may be 0, 1 or ``None``).
+    def decode_planes(self, bits: int, present: int) -> int:
+        """Decode a received word given as ``(bits, present)`` planes.
 
-        ``None`` entries are treated as erasures.  A word shorter than the
-        codeword is padded with erasures; extra symbols are ignored.  Raises
+        The planes follow the :func:`~repro.utils.bitstring.pack_symbols`
+        convention: slot ``i`` received bit ``i`` of ``bits`` iff bit ``i`` of
+        ``present`` is set, and was erased otherwise.  Slots beyond the
+        codeword are ignored.  Returns the message packed LSB first; raises
         :class:`DecodingError` if any block is beyond the correction radius.
         """
+        if bits & ~present:
+            raise ValueError("bits plane must be a subset of the present plane")
         total_bits = self.codeword_bits
-        bits, present = pack_symbols(received[:total_bits])
+        full = (1 << total_bits) - 1
         # A byte with any missing bit is an erased RS symbol; missing bits read as 0.
-        word = bits.to_bytes(total_bits // _BITS_PER_SYMBOL, "little")
-        missing = (~present & ((1 << total_bits) - 1)).to_bytes(len(word), "little")
+        word = (bits & full).to_bytes(total_bits // _BITS_PER_SYMBOL, "little")
+        missing = (~present & full).to_bytes(len(word), "little")
 
         message = bytearray()
         cursor = 0
@@ -135,7 +140,25 @@ class BinaryBlockCode:
             erasures = [index for index, byte in enumerate(erased) if byte] if any(erased) else None
             message += code.decode_bytes(word[cursor:end], erasures)
             cursor = end
-        return _bytes_to_bits(message)[: self.message_bits]
+        return int.from_bytes(message, "little") & ((1 << self.message_bits) - 1)
+
+    def encode(self, bits: Sequence[int]) -> List[int]:
+        """Encode ``message_bits`` bits into ``codeword_bits`` bits (list form of :meth:`encode_int`)."""
+        if len(bits) != self.message_bits:
+            raise ValueError(f"expected {self.message_bits} message bits, got {len(bits)}")
+        value = int(bytes(bits[::-1]).translate(_ASCII_BITS), 2)
+        return _int_to_bits(self.encode_int(value), self.codeword_bits)
+
+    def decode(self, received: Sequence[Symbol]) -> List[int]:
+        """Decode a received bit sequence (entries may be 0, 1 or ``None``).
+
+        List form of :meth:`decode_planes`: ``None`` entries are erasures, a
+        word shorter than the codeword is padded with erasures and extra
+        symbols are ignored.
+        """
+        return _int_to_bits(
+            self.decode_planes(*pack_symbols(received[: self.codeword_bits])), self.message_bits
+        )
 
 
 #: Maps a bit stored in a byte to the ASCII digit ``int(..., 2)`` reads.
@@ -144,6 +167,7 @@ _ASCII_BITS = b"0" + b"1" * 255
 _BYTE_BITS = tuple(bytes((b >> offset) & 1 for offset in range(_BITS_PER_SYMBOL)) for b in range(256))
 
 
-def _bytes_to_bits(symbols: bytes) -> List[int]:
-    """Expand symbols to bits, LSB first within each symbol."""
-    return list(b"".join(map(_BYTE_BITS.__getitem__, symbols)))
+def _int_to_bits(value: int, width: int) -> List[int]:
+    """The ``width`` low bits of ``value`` as a list, LSB first."""
+    symbols = value.to_bytes((width + _BITS_PER_SYMBOL - 1) // _BITS_PER_SYMBOL, "little")
+    return list(b"".join(map(_BYTE_BITS.__getitem__, symbols)))[:width]

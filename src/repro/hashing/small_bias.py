@@ -16,15 +16,16 @@ matching the seed length ``Θ(log(1/δ) + log ℓ)`` of Lemma 2.5.
 sequential block generation (``packed_bits`` / ``packed_slots``), which is
 what the seed manager uses to carve per-iteration hash seeds out of the
 expanded string.  Sequential generation materialises the expanded string as
-one packed integer grown by an LFSR doubling step: ``s_i = ⟨x, y^i⟩`` is a
+one packed integer grown by LFSR jump blocks: ``s_i = ⟨x, y^i⟩`` is a
 linear functional of the state orbit of the (linear) map ``· y``, so the
 stream satisfies a linear recurrence of order at most ``r``.  The generator
 bootstraps ``2r`` bits with the reference loop, recovers the minimal
-connection polynomial with a packed Berlekamp–Massey pass, and then roughly
-doubles the cached stream per extension with whole-stream shift/XOR kernels —
-no per-bit Python work at all.  The per-bit reference path (:meth:`bits`)
-keeps the plain field-multiplication loop, and the equivalence suite pins the
-two bit-identical.
+connection polynomial with a packed Berlekamp–Massey pass, and then extends
+the cached stream one block at a time (one shift/XOR per set coefficient of
+``x^span mod conn``) — no per-bit Python work at all, and no polynomial
+arithmetic beyond one squaring each time the block span doubles.  The
+per-bit reference path (:meth:`bits`) keeps the plain field-multiplication
+loop, and the equivalence suite pins the two bit-identical.
 
 The expanded stream is a pure function of the seed ``(x, y)`` and the field
 degree, so the fast path shares one expansion state per distinct seed across
@@ -42,6 +43,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.hashing.gf2m import GF2m
 
 
+def _poly_mod(value: int, modulus: int, degree: int) -> int:
+    """``value mod modulus`` over GF(2)[x]; ``modulus`` is monic of ``degree``."""
+    top = value.bit_length() - 1
+    while top >= degree:
+        value ^= modulus << (top - degree)
+        top = value.bit_length() - 1
+    return value
+
+
 def _poly_mulmod(a: int, b: int, modulus: int, degree: int) -> int:
     """``a · b mod modulus`` over GF(2)[x]; ``modulus`` is monic of ``degree``."""
     product = 0
@@ -49,48 +59,40 @@ def _poly_mulmod(a: int, b: int, modulus: int, degree: int) -> int:
         low = a & -a
         product ^= b << (low.bit_length() - 1)
         a ^= low
-    top = product.bit_length() - 1
-    while top >= degree:
-        product ^= modulus << (top - degree)
-        top = product.bit_length() - 1
-    return product
+    return _poly_mod(product, modulus, degree)
 
 
-def _poly_powmod(base: int, exponent: int, modulus: int, degree: int) -> int:
-    """``base ** exponent mod modulus`` over GF(2)[x] by square and multiply."""
-    result = 1
-    base = _poly_mulmod(base, 1, modulus, degree)  # reduce in case deg(base) >= degree
-    while exponent:
-        if exponent & 1:
-            result = _poly_mulmod(result, base, modulus, degree)
-        base = _poly_mulmod(base, base, modulus, degree)
-        exponent >>= 1
-    return result
-
-
-#: Block size of the chunked stream-extension phase.  Small enough that the
-#: XOR base stays cache-friendly, large enough that the one-time
-#: ``x^chunk mod conn`` exponentiation amortises over a handful of blocks.
+#: Span at which stream extension stops squaring its jump.  Past it every
+#: extension block is ``span - deg(conn) + 1`` bits computed from the
+#: stream's last ``span`` bits: small enough that the XOR operands stay
+#: cache-friendly, large enough that an iteration's 3 × 4096-bit slot region
+#: needs at most one block.
 _EXTENSION_CHUNK_BITS = 1 << 15
 
 
 class _StreamState:
     """Mutable LFSR expansion state for one ``(x, y, field_degree)`` seed.
 
-    ``stream`` holds the first ``length`` expanded bits packed LSB-first;
-    ``lfsr`` is ``None`` until bootstrapped, then the
-    ``(shift, conn, conn_degree, inv_step, jump)`` tuple documented on
-    :class:`SmallBiasGenerator`.  The state is shared by every fast-path
-    generator instance with the same seed, so it must only ever *grow* —
-    which the expansion code guarantees.
+    ``stream`` holds the first ``length`` expanded bits packed LSB-first.
+    The seed's constants are set once, by the bootstrap (``conn`` is
+    ``None`` until then): past its first ``shift`` bits the stream satisfies
+    the linear recurrence with characteristic polynomial ``conn``
+    (``conn(0) = 1``, degree ``conn_degree``), and ``jump`` is
+    ``x^span mod conn`` for the current extension ``span``.  The state is
+    shared by every fast-path generator instance with the same seed, so it
+    must only ever *grow* — which the expansion code guarantees.
     """
 
-    __slots__ = ("stream", "length", "lfsr")
+    __slots__ = ("stream", "length", "shift", "conn", "conn_degree", "span", "jump")
 
     def __init__(self) -> None:
         self.stream = 0
         self.length = 0
-        self.lfsr: Optional[Tuple[int, int, int, int, int]] = None
+        self.shift = 0
+        self.conn: Optional[int] = None
+        self.conn_degree = 0
+        self.span = 0
+        self.jump = 0
 
 
 #: Process-level expansion cache: seeds are pure inputs, so sharing the
@@ -183,14 +185,10 @@ class SmallBiasGenerator:
         # probability of drawing them is 2^-r).
         #
         # The fast sequential path caches the expanded string as one packed
-        # integer, grown on demand by the LFSR doubling step.  The state's
-        # ``lfsr`` tuple is (shift, conn, conn_degree, inv_step, jump): the
-        # stream s satisfies x^shift·conn as a characteristic polynomial with
-        # conn(0) = 1; ``jump`` is x^(length - shift) mod conn, kept in
-        # lockstep with the cached stream; ``inv_step`` is x^(1 - deg conn)
-        # mod conn, the constant that advances ``jump`` across one doubling.
-        # Fast-path instances with the same seed share one process-level
-        # state, so a stream is bootstrapped and extended once per seed.
+        # integer (a :class:`_StreamState`), grown on demand by LFSR jump
+        # blocks.  Fast-path instances with the same seed share one
+        # process-level state, so a stream is bootstrapped and extended once
+        # per seed.
         if self.table_stepping:
             self._state = _shared_stream_state(self.x, self.y, self.field_degree)
         else:
@@ -246,78 +244,66 @@ class SmallBiasGenerator:
         for j in range(complexity + 1):
             if (connection >> j) & 1:
                 reversed_conn |= 1 << (complexity - j)
-        if complexity == 0:
-            state.lfsr = (0, 1, 0, 0, 0)  # all-zero stream
-            return
         shift = (reversed_conn & -reversed_conn).bit_length() - 1
         conn = reversed_conn >> shift
         conn_degree = complexity - shift
-        if conn_degree == 0:
-            state.lfsr = (shift, 1, 0, 0, 0)  # zero beyond the first `shift` bits
-            return
-        # x is invertible mod conn because conn(0) = 1: x·(conn + 1)/x ≡ 1.
-        inverse_x = (conn ^ 1) >> 1
-        inv_step = _poly_powmod(inverse_x, conn_degree - 1, conn, conn_degree)
-        jump = _poly_powmod(2, count - shift, conn, conn_degree)
-        state.lfsr = (shift, conn, conn_degree, inv_step, jump)
+        state.shift = shift
+        state.conn = conn
+        state.conn_degree = conn_degree
+        if conn_degree:
+            # The first extension block jumps over the whole bootstrap.
+            state.span = count - shift
+            state.jump = _poly_mod(1 << state.span, conn, conn_degree)
 
     def _ensure_stream(self, length: int) -> None:
-        """Grow the cached stream to at least ``length`` bits."""
+        """Grow the cached stream to at least ``length`` bits.
+
+        With ``jump = x^span mod conn`` and ``have`` bits past the shift
+        head, s_{shift+have+t} = ⊕_{j ∈ jump} s_{shift+have-span+t+j} for
+        t ≤ span - deg(conn): one block of fresh bits is one shift/XOR per
+        set coefficient over the stream's last ``span`` bits.  While ``span``
+        is below :data:`_EXTENSION_CHUNK_BITS` it doubles (``jump`` squared)
+        as soon as the stream holds twice as many bits, so the stream grows
+        geometrically; after that the span, and with it every block's cost,
+        stays fixed.  One squaring per doubling is the only polynomial
+        multiplication per seed.
+        """
         state = self._state
         if length <= state.length:
             return
-        if state.lfsr is None:
+        if state.conn is None:
             self._bootstrap_stream()
             if length <= state.length:
                 return
-        shift, conn, conn_degree, inv_step, jump = state.lfsr
+        conn_degree = state.conn_degree
         if conn_degree == 0:
             # Eventually-zero stream: every bit past the cached prefix is 0.
             state.length = length
             return
+        conn = state.conn
+        shift = state.shift
+        span = state.span
+        jump = state.jump
         stream = state.stream
         stream_len = state.length
-        chunk_bits = _EXTENSION_CHUNK_BITS
-        while stream_len < length and stream_len - shift < chunk_bits + conn_degree:
-            # Doubling phase (small streams).  With jump = x^have mod conn
-            # (have counted past the shift head), s_{shift+have+t} =
-            # ⊕_{j ∈ jump} s_{shift+t+j}, valid for t < have - deg(conn) + 1 —
-            # one shift/XOR per set coefficient over the cached stream.
-            have = stream_len - shift
-            fresh = have - conn_degree + 1
+        while stream_len < length:
+            if span < _EXTENSION_CHUNK_BITS and stream_len - shift >= 2 * span:
+                span *= 2
+                jump = _poly_mulmod(jump, jump, conn, conn_degree)
+            window = (stream >> (stream_len - span)) & ((1 << span) - 1)
             block = 0
             coefficients = jump
-            base = stream >> shift
             while coefficients:
                 low = coefficients & -coefficients
-                block ^= base >> (low.bit_length() - 1)
+                block ^= window >> (low.bit_length() - 1)
                 coefficients ^= low
+            fresh = span - conn_degree + 1
             stream |= (block & ((1 << fresh) - 1)) << stream_len
             stream_len += fresh
-            # jump ← x^(2·have - deg + 1) = jump² · x^(1 - deg) mod conn.
-            jump = _poly_mulmod(_poly_mulmod(jump, jump, conn, conn_degree), inv_step, conn, conn_degree)
-        if stream_len < length:
-            # Chunked phase (long streams): append fixed-size blocks computed
-            # against the short stream *prefix* instead of the whole cached
-            # stream, keeping the per-generated-bit cost constant.  The same
-            # identity applies — s_{shift+have+t} = ⊕_{j ∈ jump} s_{shift+t+j}
-            # for t < chunk — and t + j stays inside the prefix window.
-            base = (stream >> shift) & ((1 << (chunk_bits + conn_degree)) - 1)
-            chunk_mask = (1 << chunk_bits) - 1
-            chunk_step = _poly_powmod(2, chunk_bits, conn, conn_degree)
-            while stream_len < length:
-                block = 0
-                coefficients = jump
-                while coefficients:
-                    low = coefficients & -coefficients
-                    block ^= base >> (low.bit_length() - 1)
-                    coefficients ^= low
-                stream |= (block & chunk_mask) << stream_len
-                stream_len += chunk_bits
-                jump = _poly_mulmod(jump, chunk_step, conn, conn_degree)
         state.stream = stream
         state.length = stream_len
-        state.lfsr = (shift, conn, conn_degree, inv_step, jump)
+        state.span = span
+        state.jump = jump
 
     @classmethod
     def from_bit_list(cls, bits: List[int], field_degree: int = 64) -> "SmallBiasGenerator":
@@ -385,18 +371,17 @@ class SmallBiasGenerator:
         uses to pull a whole iteration's seed slots out of the δ-biased string
         in one read.
         """
-        if not self.table_stepping:
-            return tuple(self.packed_bits(offset, count) for offset, count in offset_lengths)
-        values: List[int] = []
-        position: Optional[int] = None
+        # One validation for both paths, before any slot is read.
+        position = 0
         for offset, count in offset_lengths:
             if offset < 0 or count < 0:
                 raise ValueError("offset and count must be non-negative")
-            if position is not None and offset < position:
+            if offset < position:
                 raise ValueError("slots must be given in increasing-offset order")
-            values.append(self.packed_bits(offset, count))
             position = offset + count
-        return tuple(values)
+        if self.table_stepping:
+            self._ensure_stream(position)
+        return tuple(self.packed_bits(offset, count) for offset, count in offset_lengths)
 
 
 def empirical_bias(bits: List[int]) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.adversary import ContractViolation, check_contract
@@ -18,6 +20,7 @@ from repro.adversary.strategies import (
     RotatingLinkAdaptiveAdversary,
 )
 from repro.network.channel import Symbol, TransmissionContext, WindowContext
+from repro.utils.bitstring import pack_symbols, unpack_symbols
 
 
 def _ctx(round_index=0, sender=0, receiver=1, phase="simulation", iteration=0):
@@ -134,6 +137,54 @@ class TestRandomNoise:
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             RandomNoiseAdversary(corruption_probability=1.5)
+
+
+class TestRandomNoiseInsertingPackedKernel:
+    """The native packed kernel for inserting random noise walks every slot."""
+
+    @staticmethod
+    def _windows(seed, count=40):
+        """Seeded (bits, present, length) windows, silent slots included."""
+        rng = random.Random(seed)
+        windows = []
+        for _ in range(count):
+            length = rng.choice([0, 1, 7, 64, 384])
+            shape = rng.random()
+            if shape < 0.2:
+                present = 0  # all silent, like a receiver-side exchange link
+            elif shape < 0.4:
+                present = (1 << length) - 1  # all present, like a sender-side link
+            else:
+                present = rng.getrandbits(length)
+            windows.append((rng.getrandbits(length) & present, present, length))
+        return windows
+
+    @pytest.mark.parametrize(
+        "corruption, insertion",
+        [(0.05, 0.02), (0.3, 0.3), (0.0, 0.1), (1.0, 1.0)],
+    )
+    @pytest.mark.parametrize("budgeted", [False, True])
+    def test_matches_corrupt_window(self, corruption, insertion, budgeted):
+        def build():
+            budget = NoiseBudget(fraction=0.05, absolute_allowance=2) if budgeted else None
+            return RandomNoiseAdversary(
+                corruption_probability=corruption,
+                insertion_probability=insertion,
+                seed=21,
+                budget=budget,
+            )
+
+        packed, reference = build(), build()
+        for index, (bits, present, length) in enumerate(self._windows(seed=7)):
+            ctx = _window_ctx(base_round=index * 400)
+            got = packed.corrupt_window_packed(ctx, bits, present, length)
+            expected = reference.corrupt_window(ctx, tuple(unpack_symbols(bits, present, length)))
+            assert got == pack_symbols(expected)
+            assert got[0] & ~got[1] == 0
+            assert packed._rng.getstate() == reference._rng.getstate()
+            if budgeted:
+                assert packed.budget.transmissions_seen == reference.budget.transmissions_seen
+                assert packed.budget.corruptions_spent == reference.budget.corruptions_spent
 
 
 class TestLinkTargeted:
@@ -508,6 +559,12 @@ STOCK_CONTRACT_CASES = {
     ),
     "random-noise-budgeted": lambda: RandomNoiseAdversary(
         corruption_probability=0.4, seed=2, budget=NoiseBudget(fraction=0.2)
+    ),
+    "random-noise-inserting-budgeted": lambda: RandomNoiseAdversary(
+        corruption_probability=0.3,
+        insertion_probability=0.25,
+        seed=12,
+        budget=NoiseBudget(fraction=0.2, absolute_allowance=1),
     ),
     "deletion": lambda: DeletionAdversary(deletion_probability=0.3, seed=3),
     "link-targeted": lambda: LinkTargetedAdversary(

@@ -66,6 +66,28 @@ class TestRoundtrip:
         word = code.encode(message)
         assert code.decode(word[: len(word) - 30]) == message
 
+    def test_int_and_plane_forms_match_list_forms(self):
+        code = BinaryBlockCode(message_bits=64)
+        rng = random.Random(3)
+        message = [rng.getrandbits(1) for _ in range(64)]
+        value = sum(bit << index for index, bit in enumerate(message))
+        word = code.encode(message)
+        codeword = code.encode_int(value)
+        assert word == [(codeword >> index) & 1 for index in range(code.codeword_bits)]
+        for index in rng.sample(range(len(word)), 6):
+            word[index] = None if index % 2 else 1 - word[index]
+        bits = sum(1 << index for index, bit in enumerate(word) if bit == 1)
+        present = sum(1 << index for index, bit in enumerate(word) if bit is not None)
+        assert code.decode_planes(bits, present) == value
+        assert code.decode(word) == message
+
+    def test_plane_forms_validate_their_inputs(self):
+        code = BinaryBlockCode(message_bits=16)
+        with pytest.raises(ValueError):
+            code.encode_int(1 << 16)
+        with pytest.raises(ValueError):
+            code.decode_planes(0b10, 0b01)  # a bit outside the present plane
+
     def test_hopeless_corruption_raises(self):
         code = BinaryBlockCode(message_bits=64)
         word = code.encode([0] * 64)

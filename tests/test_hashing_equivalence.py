@@ -43,7 +43,7 @@ from repro.hashing.seeds import (
     SeedLayout,
     seed_layout,
 )
-from repro.hashing.small_bias import SmallBiasGenerator
+from repro.hashing.small_bias import _EXTENSION_CHUNK_BITS, SmallBiasGenerator, _StreamState
 from repro.experiments.factories import RandomNoiseFactory
 from repro.experiments.workloads import gossip_workload
 from repro.utils.bitstring import bits_to_int, int_to_bits, pack_symbols
@@ -95,9 +95,48 @@ class TestSmallBiasExpansionEquivalence:
             assert warm == tuple(cold.packed_bits(offset, count) for offset, count in slots)
 
     def test_packed_slots_rejects_disorder(self):
-        generator = SmallBiasGenerator(seed_bits=12345)
-        with pytest.raises(ValueError):
-            generator.packed_slots([(100, 50), (60, 10)])
+        # The per-bit reference path validates exactly like the fast path.
+        for table_stepping in (True, False):
+            generator = SmallBiasGenerator(seed_bits=12345, table_stepping=table_stepping)
+            with pytest.raises(ValueError, match="increasing-offset"):
+                generator.packed_slots([(100, 50), (60, 10)])
+            with pytest.raises(ValueError, match="increasing-offset"):
+                generator.packed_slots([(0, 64), (32, 8)])  # overlapping
+            with pytest.raises(ValueError, match="non-negative"):
+                generator.packed_slots([(0, 8), (-4, 8)])
+
+    @pytest.mark.parametrize(
+        "degree, seed",
+        [
+            (64, 0x0123456789ABCDEF_FEDCBA9876543210),
+            (64, 0x5DEECE66D_0000BEEF_1234567F),
+            (32, 0x8BADF00D_0DEFACED),
+            (16, 0xC0DE_0001),
+            (64, 0xA5A5_0000_0000_0000 << 64),  # x = 0: the all-zero stream
+            (64, 0xFFFF_0000_1234_5679),  # y = 0: one bit, then zeros
+            (32, 0x9E3779B9),  # y = 0
+        ],
+    )
+    def test_stepwise_growth_across_chunks_matches_one_shot(self, degree, seed):
+        """Many small reads that cross several extension chunks grow the
+        shared stream to exactly what one long read (and the per-bit field
+        loop) produces."""
+        total = 3 * _EXTENSION_CHUNK_BITS + 2 * degree + 777
+        stepwise = SmallBiasGenerator(seed_bits=seed, field_degree=degree)
+        stepwise._state = _StreamState()  # private state: no sharing with other tests
+        rng = make_rng(degree + seed % 1000)
+        value = offset = 0
+        while offset < total:
+            count = min(rng.randint(1, 900), total - offset)
+            value |= stepwise.packed_bits(offset, count) << offset
+            offset += count
+        one_shot = SmallBiasGenerator(seed_bits=seed, field_degree=degree)
+        one_shot._state = _StreamState()
+        assert value == one_shot.packed_bits(0, total)
+        samples = [0, 1, 2 * degree - 1, 2 * degree, _EXTENSION_CHUNK_BITS + degree, total - 1]
+        samples += [rng.randrange(total) for _ in range(10)]
+        for index in samples:
+            assert (value >> index) & 1 == stepwise.bit(index), index
 
     def test_random_access_bit_agrees_with_sequential(self):
         generator = SmallBiasGenerator(seed_bits=make_rng(14).getrandbits(128))
