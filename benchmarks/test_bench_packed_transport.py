@@ -74,9 +74,24 @@ def _workload():
     return graph, pattern, dense, thin
 
 
+def _counting_transmits(network):
+    """Count ``transmit`` calls (the per-slot path's only way onto the wire)."""
+    network.transmit_calls = 0
+    transmit = network.transmit
+
+    def counted(*args, **kwargs):
+        network.transmit_calls += 1
+        return transmit(*args, **kwargs)
+
+    network.transmit = counted
+    return network
+
+
 def _per_slot_seconds(graph, pattern, dense, thin):
     """The single-slot reference: one ``transmit`` per slot of every window."""
-    network = NoisyNetwork(graph, adversary=AdditiveObliviousAdversary(pattern=pattern))
+    network = _counting_transmits(
+        NoisyNetwork(graph, adversary=AdditiveObliviousAdversary(pattern=pattern))
+    )
     start = time.perf_counter()
     for iteration, window in enumerate(dense):
         network.exchange_window_per_slot(window, _DENSE_WINDOW, "meeting_points", iteration)
@@ -87,7 +102,9 @@ def _per_slot_seconds(graph, pattern, dense, thin):
 
 def _packed_seconds(graph, pattern, dense, thin):
     """The packed path: ``(bits, present)`` planes through one kernel per link."""
-    network = NoisyNetwork(graph, adversary=AdditiveObliviousAdversary(pattern=pattern))
+    network = _counting_transmits(
+        NoisyNetwork(graph, adversary=AdditiveObliviousAdversary(pattern=pattern))
+    )
     full = (1 << _DENSE_WINDOW) - 1
     start = time.perf_counter()
     for iteration, window in enumerate(dense):
@@ -128,8 +145,8 @@ def test_packed_transport_is_at_least_five_times_as_fast(benchmark, run_once):
         # timings are comparable at all.
         assert vars(packed_network.stats) == vars(reference_network.stats)
         assert packed_network.current_round == reference_network.current_round
-        assert packed_network.packed_dispatches > 0
-        assert reference_network.packed_dispatches == 0
+        assert packed_network.transmit_calls == 0
+        assert reference_network.transmit_calls > 0
         return reference_seconds, packed_seconds
 
     reference_seconds, packed_seconds = run_once(benchmark, compare)

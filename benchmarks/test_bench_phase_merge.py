@@ -3,7 +3,7 @@
 A transport-level gate of ``NoisyNetwork.exchange_phase`` /
 ``PhaseExchange``; no engine path uses that dispatch.  When the adversary's
 noise is a pure function of (round, link, symbol), one ``exchange_phase``
-can replace one ``exchange_window`` dispatch per round — per-slot schedule
+can replace one ``exchange_window_packed`` dispatch per round — per-slot schedule
 evaluation for transmitted symbols, one lazily-evaluated whole-phase
 silence baseline per link for insertions, and one accounting pass per link
 at commit.
@@ -55,7 +55,7 @@ def _workload():
 
 
 def _per_round_seconds(graph, pattern, plan):
-    """The lockstep reference: one exchange_window dispatch per round.
+    """The lockstep reference: one exchange_window_packed dispatch per round.
 
     The pattern contains insertions, so every round takes the dense path —
     exactly what the engine's per-round schedule does for this adversary.
@@ -63,7 +63,9 @@ def _per_round_seconds(graph, pattern, plan):
     network = NoisyNetwork(graph, adversary=AdditiveObliviousAdversary(pattern=pattern))
     start = time.perf_counter()
     for sends in plan:
-        network.exchange_window({link: [symbol] for link, symbol in sends}, 1, "simulation", 0)
+        network.exchange_window_packed(
+            {link: (symbol, 1) for link, symbol in sends}, 1, "simulation", 0
+        )
     return time.perf_counter() - start, network
 
 

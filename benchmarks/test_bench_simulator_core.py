@@ -4,14 +4,14 @@ These give a reference point for how expensive one noise-resilient simulation
 is for each scheme preset on a small workload, and they double as regression
 guards: every benchmarked run must succeed.
 
-``test_batched_window_transport_speedup`` pins the batched-transport win: it
+``test_batched_window_transport_speedup`` pins the window-transport win: it
 replays the exact window traffic of one noise-sweep cell (stochastic
 insertion/deletion/substitution noise at the nominal fraction) through both
-the batched ``exchange_window`` and the single-slot reference
-``exchange_window_per_slot``, asserts bit-identical deliveries and
-statistics, and requires the batched path to be ≥3× faster.
-Its wall clock is persisted like every other benchmark, so
-``benchmarks/check_perf_regression.py`` gates the batched numbers session
+the packed ``exchange_window_packed`` (one kernel call per link and window)
+and the single-slot reference ``exchange_window_per_slot``, asserts
+bit-identical deliveries and statistics, and requires the packed path to be
+≥3× faster.  Its wall clock is persisted like every other benchmark, so
+``benchmarks/check_perf_regression.py`` gates the packed numbers session
 over session.
 """
 
@@ -70,37 +70,37 @@ def _best_of(function, repetitions=5):
 
 
 def test_batched_window_transport_speedup(benchmark, run_once):
-    """The symbol hot path: one noise-sweep cell's window traffic, both paths.
+    """The window hot path: one noise-sweep cell's window traffic, both paths.
 
     The workload is a dense-graph gossip cell at the nominal noise level with
     the noise-sweep harness's stochastic adversary (``RandomNoiseFactory`` —
     substitutions/deletions plus insertions, so every silent slot is
-    adversary-reachable).  The traffic is captured from a real trial, then
-    replayed through the batched and the per-slot transport; both must agree
-    bit for bit, and the batched path must be ≥3× faster.
+    adversary-reachable).  The traffic is captured from a real trial as the
+    plane pairs the engine sends, then replayed through the packed and the
+    per-slot transport; both must agree bit for bit, and the packed path must
+    be ≥3× faster.  The per-slot replay's symbol lists are built before the
+    clock starts, so neither side pays for converting between the formats.
     """
     workload = gossip_workload(topology="clique", num_nodes=8, phases=6, seed=0)
     scheme = crs_oblivious_scheme()
     fraction = scheme.nominal_noise_fraction(workload.graph)
     factory = RandomNoiseFactory(fraction=fraction)
 
-    # Capture the cell's window-exchange workload from one real trial.  The
-    # packed meeting-points windows are unpacked to symbol sequences, so the
-    # dense 4τ-round windows this gate is about stay in the replay (the packed
-    # layer has its own gate in ``test_bench_packed_transport.py``).
+    # Capture the cell's window-exchange workload from one real trial: the
+    # dense 4τ-round meeting-points windows and the thin per-round phases.
     captured = []
     sim = InteractiveCodingSimulator(workload.protocol, scheme=scheme, adversary=factory(0), seed=0)
-    original = sim.network.exchange_window
     original_packed = sim.network.exchange_window_packed
 
-    def spy(messages, window_rounds, phase, iteration=-1, sparse=False):
-        captured.append(
-            ({link: list(symbols) for link, symbols in messages.items()}, window_rounds, phase, iteration)
-        )
-        return original(messages, window_rounds, phase, iteration, sparse=sparse)
-
     def packed_spy(messages, window_rounds, phase, iteration=-1, sparse=False):
-        captured.append((
+        captured.append((dict(messages), window_rounds, phase, iteration, sparse))
+        return original_packed(messages, window_rounds, phase, iteration, sparse=sparse)
+
+    sim.network.exchange_window_packed = packed_spy
+    assert sim.run().success
+    assert captured, "the trial exchanged no windows?"
+    symbol_windows = [
+        (
             {
                 link: unpack_symbols(bits, present, window_rounds)
                 for link, (bits, present) in messages.items()
@@ -108,37 +108,44 @@ def test_batched_window_transport_speedup(benchmark, run_once):
             window_rounds,
             phase,
             iteration,
-        ))
-        return original_packed(messages, window_rounds, phase, iteration, sparse=sparse)
+            sparse,
+        )
+        for messages, window_rounds, phase, iteration, sparse in captured
+    ]
 
-    sim.network.exchange_window = spy
-    sim.network.exchange_window_packed = packed_spy
-    assert sim.run().success
-    assert captured, "the trial exchanged no windows?"
-
-    def replay(batched):
+    def replay(packed):
         network = NoisyNetwork(workload.graph, adversary=factory(1))
-        exchange = network.exchange_window if batched else network.exchange_window_per_slot
+        if packed:
+            exchange, windows = network.exchange_window_packed, captured
+        else:
+            exchange, windows = network.exchange_window_per_slot, symbol_windows
         deliveries = [
-            exchange(messages, window_rounds, phase, iteration)
-            for messages, window_rounds, phase, iteration in captured
+            exchange(messages, window_rounds, phase, iteration, sparse=sparse)
+            for messages, window_rounds, phase, iteration, sparse in windows
         ]
         return deliveries, network.stats, network.current_round
 
     per_slot_seconds, per_slot_result = _best_of(lambda: replay(False))
-    batched_seconds, batched_result = _best_of(lambda: replay(True))
+    packed_seconds, packed_result = _best_of(lambda: replay(True))
     # The tentpole guarantee: the fast path changes nothing observable.
-    assert batched_result == per_slot_result
+    assert packed_result[1:] == per_slot_result[1:]
+    for (_, window_rounds, *_rest), got, expected in zip(
+        captured, packed_result[0], per_slot_result[0]
+    ):
+        assert {
+            link: unpack_symbols(bits, present, window_rounds)
+            for link, (bits, present) in got.items()
+        } == expected
 
     result = run_once(benchmark, lambda: replay(True))
-    assert result[0] == batched_result[0]
+    assert result[0] == packed_result[0]
 
-    speedup = per_slot_seconds / batched_seconds
+    speedup = per_slot_seconds / packed_seconds
     benchmark.extra_info["windows_replayed"] = len(captured)
     benchmark.extra_info["per_slot_seconds"] = round(per_slot_seconds, 6)
-    benchmark.extra_info["batched_seconds"] = round(batched_seconds, 6)
+    benchmark.extra_info["batched_seconds"] = round(packed_seconds, 6)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    assert speedup >= 3.0, f"batched transport only {speedup:.2f}x faster than per-slot"
+    assert speedup >= 3.0, f"packed transport only {speedup:.2f}x faster than per-slot"
 
 
 def test_simulate_noise_sweep_cell_end_to_end(benchmark, run_once):

@@ -11,11 +11,12 @@ The paper distinguishes:
 All of them implement :class:`Adversary`.  The single-slot contract is
 ``corrupt``: the transport consults the adversary for one channel slot (one
 round, one directed link) and the adversary returns what the receiver should
-see.  The batched hot path is ``corrupt_window``: the transport hands the
-adversary one whole window of slots on one directed link and gets the full
-delivered sequence back.  The base implementation of ``corrupt_window``
-falls back to per-slot ``corrupt`` calls, and every override is required to
-be bit-identical to that fallback.  Corruption accounting is done by the
+see.  The hot path is ``corrupt_window_packed``: the transport hands the
+adversary one whole window of slots on one directed link as a
+``(bits, present)`` plane pair and gets the delivered planes back.  Its base
+implementation unpacks the window and falls back to ``corrupt_window``, the
+per-slot replay of ``corrupt``; every native kernel is required to be
+bit-identical to that fallback.  Corruption accounting is done by the
 transport, not by the adversary, so an adversary cannot under-report its own
 noise.
 
@@ -155,31 +156,23 @@ class Adversary(abc.ABC):
         """
 
     def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        """Return the symbols delivered for one whole window on one link.
+        """The per-slot fallback: the delivered symbols of one window on one link.
 
         ``symbols`` is the dense window the sender put on the wire (``None``
         entries are silent slots); slot ``i`` occurs in absolute round
-        ``ctx.base_round + i``.  The batched transport calls this once per
-        directed link instead of calling :meth:`corrupt` once per slot, and
-        hands the window over as an *immutable tuple* — the sent record is
-        what the transport charges corruptions against, so it cannot be
-        mutated in place.  Return the delivered window as a new sequence
-        (conventionally a list; the transport normalises).
+        ``ctx.base_round + i``.  It replays exactly what a sequence of
+        single-slot transmissions would do — :meth:`corrupt` then
+        :meth:`notify_delivery` per slot, in offset order, skipping silent
+        slots when :attr:`may_insert` is ``False`` — so any adversary that
+        only implements ``corrupt`` behaves bit-identically on the packed and
+        per-slot transmission paths.
 
-        This base implementation is the per-slot compatibility fallback: it
-        replays exactly what a sequence of single-slot transmissions would do
-        — :meth:`corrupt` then :meth:`notify_delivery` per slot, in offset
-        order, skipping silent slots when :attr:`may_insert` is ``False`` —
-        so any adversary that only implements ``corrupt`` behaves
-        bit-identically under both transmission paths.
-
-        Overrides MUST preserve that bit-identity: same delivered symbols,
-        same RNG stream consumption, same budget accounting as the per-slot
-        path, for every input window.  (All stock adversaries ship such
-        vectorized overrides; if you subclass one and change ``corrupt`` or
-        ``notify_delivery``, you must override ``corrupt_window`` as well —
-        e.g. restore this fallback with
-        ``corrupt_window = Adversary.corrupt_window``.)
+        The transport never calls this directly: the base
+        :meth:`corrupt_window_packed` unpacks its planes and calls it.  An
+        adversary may override it with a list-valued kernel (the base packed
+        fallback then reaches that kernel); such an override MUST preserve the
+        bit-identity with this fallback — same delivered symbols, same RNG
+        stream consumption, same budget accounting — for every input window.
         """
         delivered: List[Symbol] = []
         append = delivered.append
@@ -200,22 +193,26 @@ class Adversary(abc.ABC):
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
-        """Packed-plane variant of :meth:`corrupt_window`.
+        """Return the planes delivered for one whole window on one link.
 
         ``(bits, present)`` follow the
         :func:`~repro.utils.bitstring.pack_symbols` convention: slot ``i``
         carries bit ``i`` of ``bits`` iff bit ``i`` of ``present`` is set,
-        and is silent otherwise; ``count`` is the window length in rounds.
-        Returns the delivered window as the same kind of plane pair.
+        and is silent otherwise; ``count`` is the window length in rounds and
+        slot ``i`` occurs in absolute round ``ctx.base_round + i``.  Returns
+        the delivered window as the same kind of plane pair.  The transport
+        calls this once per directed link and window.
 
         This base implementation is the compatibility fallback: it unpacks
-        the planes, runs :meth:`corrupt_window` (itself falling back to
-        per-slot :meth:`corrupt` calls unless overridden) and re-packs — so
-        every adversary is automatically bit-identical across the packed and
-        symbol-sequence transports.  Native overrides must preserve exactly
-        that equivalence: same delivered planes, same RNG stream
-        consumption, same budget accounting, for every input window
-        (``tests/test_adversaries.py`` pins this for all stock adversaries).
+        the planes into an immutable tuple, runs :meth:`corrupt_window`
+        (itself the per-slot :meth:`corrupt` replay unless overridden) and
+        re-packs.  Native overrides must preserve exactly that equivalence:
+        same delivered planes, same RNG stream consumption, same budget
+        accounting, for every input window (``check_contract``'s
+        ``packed-equivalence`` law; ``tests/test_adversaries.py`` pins it for
+        all stock adversaries).  If you subclass a stock adversary and change
+        ``corrupt`` or ``notify_delivery``, restore this fallback with
+        ``corrupt_window_packed = Adversary.corrupt_window_packed``.
         """
         delivered = self.corrupt_window(ctx, tuple(unpack_symbols(bits, present, count)))
         return pack_symbols(delivered)
@@ -224,7 +221,7 @@ class Adversary(abc.ABC):
         """Pure evaluation of the delivery schedule for one window on one link.
 
         Only available when :attr:`slot_addressed` is ``True``.  Returns the
-        delivered window, like :meth:`corrupt_window`, but under much stronger
+        delivered symbol window, like :meth:`corrupt_window`, but under much stronger
         laws — the *slot-addressed contract*:
 
         * **purity** — the call reads and writes no mutable state: two
@@ -236,9 +233,9 @@ class Adversary(abc.ABC):
           ``corruption_schedule(ctx, symbols)[i] ==
           corruption_schedule(ctx_at(base_round + i), (symbols[i],))[0]``;
         * **path agreement** — while ``slot_addressed`` holds,
-          :meth:`corrupt` and :meth:`corrupt_window` delegate to (or agree
-          bit for bit with) this function, so the per-slot, batched-window
-          and whole-phase transmission paths all deliver the same symbols.
+          :meth:`corrupt` and :meth:`corrupt_window_packed` agree bit for bit
+          with this function, so the per-slot, packed-window and whole-phase
+          transmission paths all deliver the same symbols.
 
         These laws are what make :class:`~repro.network.transport.PhaseExchange`
         legal: it evaluates slots the moment the sent symbol is known (out of
@@ -273,9 +270,6 @@ class NoiselessAdversary(Adversary):
 
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
         return sent
-
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        return list(symbols)
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int

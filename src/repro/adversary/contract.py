@@ -2,13 +2,13 @@
 
 Two layers of guarantees hold the transport's transmission paths together:
 
-* every adversary's ``corrupt_window`` must be **bit-identical** to the
-  per-slot fallback (same delivered symbols, same RNG stream consumption,
-  same budget accounting), which is what makes the batched fast path legal;
-* every adversary's ``corrupt_window_packed`` must deliver the same planes
-  (and leave the same state) as packing the ``corrupt_window`` output — the
-  packed transport path is only legal because the corruption mask it applies
-  is the one the symbol-sequence path would have produced;
+* every adversary's ``corrupt_window_packed`` — the one kernel the transport
+  calls — must deliver the same planes (and leave the same state: RNG stream
+  consumption, budget accounting) as the per-slot fallback
+  :meth:`~repro.adversary.base.Adversary.corrupt_window`, which replays
+  ``corrupt`` slot by slot; the packed transport path is only legal because
+  the corruption mask it applies is the one the per-slot path would have
+  produced;
 * a :attr:`~repro.adversary.base.Adversary.slot_addressed` adversary must
   additionally satisfy the slot-addressed laws — purity, slot
   decomposability, path agreement (see
@@ -24,7 +24,7 @@ to every stock adversary).
 The probe is behavioural, not static: it deep-copies the adversary per pass
 (so a stateful adversary's streams/budgets cannot leak between passes),
 replays the same window sequence through both paths, and compares delivered
-symbols *and* a structural snapshot of all mutable state after every window.
+planes *and* a structural snapshot of all mutable state after every window.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.adversary.base import Adversary, NoiseBudget
 from repro.network.channel import Symbol, WindowContext
-from repro.utils.bitstring import pack_symbols
+from repro.utils.bitstring import pack_symbols, unpack_symbols
 from repro.utils.rng import make_rng
 
 #: Default directed links the probe windows run over.  They intentionally
@@ -135,53 +135,26 @@ def _probe_windows(
     return probes
 
 
-def _check_batched_equivalence(
-    adv: Adversary,
-    probes: Sequence[Tuple[WindowContext, Tuple[Symbol, ...]]],
-) -> None:
-    """corrupt_window must replay the per-slot fallback bit for bit."""
-    batched = copy.deepcopy(adv)
-    reference = copy.deepcopy(adv)
-    batched.reset()
-    reference.reset()
-    for ctx, symbols in probes:
-        got = list(batched.corrupt_window(ctx, symbols))
-        expected = Adversary.corrupt_window(reference, ctx, symbols)
-        if got != expected:
-            raise ContractViolation(
-                "batched-equivalence",
-                f"{type(adv).__name__}.corrupt_window diverges from the per-slot "
-                f"fallback on {ctx!r}: {got!r} != {expected!r}",
-            )
-        if _state_snapshot(batched) != _state_snapshot(reference):
-            raise ContractViolation(
-                "batched-equivalence",
-                f"{type(adv).__name__}.corrupt_window left different state than the "
-                f"per-slot fallback after {ctx!r} (RNG streams or budget counters "
-                "diverged)",
-            )
-
-
 def _check_packed_equivalence(
     adv: Adversary,
     probes: Sequence[Tuple[WindowContext, Tuple[Symbol, ...]]],
 ) -> None:
-    """corrupt_window_packed must apply the same corruption mask as
-    corrupt_window: same delivered planes, same state afterwards."""
+    """corrupt_window_packed must apply the same corruption mask as the
+    per-slot fallback: same delivered planes, same state afterwards."""
     packed = copy.deepcopy(adv)
     reference = copy.deepcopy(adv)
     packed.reset()
     reference.reset()
     for ctx, symbols in probes:
         bits, present = pack_symbols(symbols)
-        got = packed.corrupt_window_packed(ctx, bits, present, len(symbols))
-        expected_symbols = reference.corrupt_window(ctx, symbols)
+        got = tuple(packed.corrupt_window_packed(ctx, bits, present, len(symbols)))
+        expected_symbols = Adversary.corrupt_window(reference, ctx, symbols)
         expected = pack_symbols(expected_symbols)
         if got != expected:
             raise ContractViolation(
                 "packed-equivalence",
                 f"{type(adv).__name__}.corrupt_window_packed delivers planes "
-                f"{got!r} on {ctx!r} but corrupt_window delivers "
+                f"{got!r} on {ctx!r} but the per-slot fallback delivers "
                 f"{expected_symbols!r} (= planes {expected!r})",
             )
         delivered_bits, delivered_present = got
@@ -196,7 +169,7 @@ def _check_packed_equivalence(
             raise ContractViolation(
                 "packed-equivalence",
                 f"{type(adv).__name__}.corrupt_window_packed left different state "
-                f"than corrupt_window after {ctx!r} (RNG streams or budget "
+                f"than the per-slot fallback after {ctx!r} (RNG streams or budget "
                 "counters diverged)",
             )
 
@@ -265,11 +238,14 @@ def _check_slot_addressed(
                     f"on {ctx.link} delivers {direct!r} but corruption_schedule "
                     f"delivers {first[offset]!r}",
                 )
-        window_path = list(subject.corrupt_window(ctx, symbols))
+        bits, present = pack_symbols(symbols)
+        window_path = unpack_symbols(
+            *subject.corrupt_window_packed(ctx, bits, present, len(symbols)), len(symbols)
+        )
         if window_path != first:
             raise ContractViolation(
                 "path-agreement",
-                f"{type(adv).__name__}.corrupt_window on {ctx!r} delivers "
+                f"{type(adv).__name__}.corrupt_window_packed on {ctx!r} delivers "
                 f"{window_path!r} but corruption_schedule delivers {first!r}",
             )
 
@@ -285,9 +261,9 @@ def check_contract(
 ) -> ContractReport:
     """Probe ``adv`` against every contract it declares.
 
-    Always checks batched-vs-per-slot equivalence and packed-vs-batched
-    equivalence (``corrupt_window_packed`` delivering the same corruption
-    mask, plane invariant included).  When
+    Always checks packed-vs-per-slot equivalence (``corrupt_window_packed``
+    delivering the corruption mask of the per-slot fallback, plane invariant
+    included).  When
     ``adv.slot_addressed`` is ``True``, additionally probes the slot-addressed
     laws (purity, slot decomposability, path agreement); when ``False``,
     verifies that :meth:`~repro.adversary.base.Adversary.corruption_schedule`
@@ -304,8 +280,7 @@ def check_contract(
     probe_links = tuple(links) if links is not None else _DEFAULT_LINKS
     probe_phases = tuple(phases) if phases is not None else _DEFAULT_PHASES
     probes = _probe_windows(probe_links, probe_phases, window_rounds, windows, seed)
-    laws: List[str] = ["batched-equivalence", "packed-equivalence"]
-    _check_batched_equivalence(adv, probes)
+    laws: List[str] = ["packed-equivalence"]
     _check_packed_equivalence(adv, probes)
     if adv.slot_addressed:
         _check_slot_addressed(adv, probes)

@@ -48,9 +48,20 @@ def _index_pattern_by_link(pattern: Dict[SlotKey, object]) -> Dict[Tuple[int, in
         by_link.setdefault((sender, receiver), {})[round_index] = value
     return by_link
 
-#: Sentinel distinguishing "slot not in pattern" from a pattern value of
-#: ``None`` (which the fixing adversary uses to force silence).
-_MISSING = object()
+
+def _window_hits(per_round: Dict[int, object], base: int, count: int) -> List[Tuple[int, object]]:
+    """One link's pattern entries inside the window ``[base, base + count)``.
+
+    Returns ``(slot, value)`` pairs, scanning the window's slots or the
+    link's entries, whichever is fewer.
+    """
+    if count <= len(per_round):
+        return [(slot, per_round[base + slot]) for slot in range(count) if base + slot in per_round]
+    return [
+        (round_index - base, value)
+        for round_index, value in per_round.items()
+        if 0 <= round_index - base < count
+    ]
 
 
 def slot_key(ctx: TransmissionContext) -> SlotKey:
@@ -91,47 +102,25 @@ class AdditiveObliviousAdversary(Adversary):
         return apply_additive_noise(sent, offset)
 
     def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # Precompute the additive noise mask of this window from the pattern;
-        # clean windows (the common case) pass through with no per-slot work.
-        pattern = self.pattern
-        if not pattern:
-            return list(symbols)
-        sender, receiver = ctx.link
-        base = ctx.base_round
-        mask = [pattern.get((base + offset, sender, receiver), 0) for offset in range(len(symbols))]
-        if not any(mask):
-            return list(symbols)
-        return [
-            sent if offset == 0 else apply_additive_noise(sent, offset)
-            for sent, offset in zip(symbols, mask)
-        ]
-
-    corrupt_window = corruption_schedule
+        # Only the window's pattern entries are touched; clean windows (the
+        # common case) pass through with no per-slot work.
+        out = list(symbols)
+        per_round = self._pattern_by_link.get(ctx.link)
+        if per_round:
+            for slot, offset in _window_hits(per_round, ctx.base_round, len(out)):
+                out[slot] = apply_additive_noise(out[slot], offset)
+        return out
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
         # The corruption mask of the window is generated in one pass over
-        # this directed link's pattern entries (or over the window's slots,
-        # whichever is smaller); clean links pass their planes through with
-        # no per-slot work at all.
+        # the window's pattern entries; clean links pass their planes through
+        # with no per-slot work at all.
         per_round = self._pattern_by_link.get(ctx.link)
         if not per_round:
             return bits, present
-        base = ctx.base_round
-        if count <= len(per_round):
-            hits = [
-                (slot, per_round[base + slot])
-                for slot in range(count)
-                if base + slot in per_round
-            ]
-        else:
-            hits = [
-                (round_index - base, offset)
-                for round_index, offset in per_round.items()
-                if 0 <= round_index - base < count
-            ]
-        for slot, offset in hits:
+        for slot, offset in _window_hits(per_round, ctx.base_round, count):
             mask = 1 << slot
             sent = ((bits >> slot) & 1) if present & mask else None
             received = apply_additive_noise(sent, offset)
@@ -184,24 +173,14 @@ class FixingObliviousAdversary(Adversary):
         return sent
 
     def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # ``None`` is a legal pattern value (force silence), so membership is
-        # resolved with a private sentinel rather than ``dict.get``'s default.
-        pattern = self.pattern
-        if not pattern:
-            return list(symbols)
-        sender, receiver = ctx.link
-        base = ctx.base_round
-        missing = _MISSING
-        out = [
-            pattern.get((base + offset, sender, receiver), missing)
-            for offset in range(len(symbols))
-        ]
-        return [
-            sent if fixed is missing else fixed
-            for sent, fixed in zip(symbols, out)
-        ]
-
-    corrupt_window = corruption_schedule
+        # Only the window's fixed slots are rewritten (``None`` forces
+        # silence), everything else passes through.
+        out = list(symbols)
+        per_round = self._pattern_by_link.get(ctx.link)
+        if per_round:
+            for slot, fixed in _window_hits(per_round, ctx.base_round, len(out)):
+                out[slot] = fixed
+        return out
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
@@ -211,20 +190,7 @@ class FixingObliviousAdversary(Adversary):
         per_round = self._pattern_by_link.get(ctx.link)
         if not per_round:
             return bits, present
-        base = ctx.base_round
-        if count <= len(per_round):
-            hits = [
-                (slot, per_round[base + slot])
-                for slot in range(count)
-                if base + slot in per_round
-            ]
-        else:
-            hits = [
-                (round_index - base, fixed)
-                for round_index, fixed in per_round.items()
-                if 0 <= round_index - base < count
-            ]
-        for slot, fixed in hits:
+        for slot, fixed in _window_hits(per_round, ctx.base_round, count):
             mask = 1 << slot
             if fixed is None:
                 bits &= ~mask

@@ -28,31 +28,11 @@ from repro.network.channel import Symbol, TransmissionContext, WindowContext
 from repro.utils.rng import make_rng
 
 
-def _flip(symbol: Symbol) -> Symbol:
-    """Substitute a bit; turn silence into an inserted 0."""
-    if symbol is None:
-        return 0
-    return 1 - symbol
-
-
 def _corrupt_randomly(rng: random.Random, symbol: Symbol) -> Symbol:
     """Pick a uniformly random corruption of ``symbol`` (always a real change)."""
     if symbol is None:
         return rng.choice([0, 1])  # insertion
     return rng.choice([1 - symbol, None])  # substitution or deletion
-
-
-def _pass_through_observing(budget: NoiseBudget, symbols: Sequence[Symbol]) -> List[Symbol]:
-    """Deliver a window untouched, bulk-observing its realised communication.
-
-    The shared fast path of every targeted/adaptive adversary for windows it
-    will never corrupt: only the budget's notion of the communication grows,
-    so the per-slot observe calls collapse into one bulk update.
-    """
-    transmitted = sum(1 for sent in symbols if sent is not None)
-    if transmitted:
-        budget.observe_transmissions(transmitted)
-    return list(symbols)
 
 
 @dataclass
@@ -93,61 +73,36 @@ class RandomNoiseAdversary(Adversary):
             self.budget.spend()
         return corrupted
 
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # The RNG stream must match the per-slot path draw for draw, so the
-        # corruption mask is drawn in offset order — but in one tight pass
-        # with everything bound locally and no per-slot contexts (the budget
-        # counters are mirrored locally and written back once).
-        corruption_probability = self.corruption_probability
-        insertion_probability = self.insertion_probability
-        budget = self.budget
-        if budget is None and corruption_probability <= 0.0 and insertion_probability <= 0.0:
-            return list(symbols)
-        rng = self._rng
-        rand = rng.random
-        out: List[Symbol] = []
-        append = out.append
-        if budget is None:
-            for sent in symbols:
-                probability = insertion_probability if sent is None else corruption_probability
-                if probability <= 0.0 or rand() >= probability:
-                    append(sent)
-                else:
-                    append(_corrupt_randomly(rng, sent))
-            return out
-        seen = budget.transmissions_seen
-        spent = budget.corruptions_spent
-        fraction = budget.fraction
-        allowance = budget.absolute_allowance
-        allowance_at = budget.allowance_at
-        for sent in symbols:
-            if sent is None:
-                probability = insertion_probability
-            else:
-                seen += 1
-                probability = corruption_probability
-            if probability <= 0.0 or rand() >= probability:
-                append(sent)
-                continue
-            if spent + 1 > allowance_at(fraction, seen, allowance):
-                append(sent)
-                continue
-            append(_corrupt_randomly(rng, sent))
-            spent += 1
-        budget.transmissions_seen = seen
-        budget.corruptions_spent = spent
-        return out
-
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
         # Without insertions only the transmitted slots matter, so the kernel
         # walks the set bits of ``present`` LSB-first — which is exactly
-        # offset order, preserving the RNG draw sequence of the symbol paths
+        # offset order, preserving the per-slot path's RNG draw sequence
         # draw for draw.  Insertions make silent slots draw too, so that case
         # walks every slot.
-        if self.insertion_probability > 0.0:
-            return self._corrupt_every_slot_packed(bits, present, count)
+        insertion_probability = self.insertion_probability
+        if insertion_probability > 0.0:
+            if present:
+                return self._corrupt_every_slot_packed(bits, present, count)
+            # An all-silent window (every idle link of a dense dispatch): one
+            # insertion draw per slot, then the choice on a hit the budget
+            # allows.  Nothing is transmitted, so the budget's transmission
+            # count cannot move and its own methods decide directly.
+            rng = self._rng
+            rand = rng.random
+            budget = self.budget
+            for slot in range(count):
+                if rand() >= insertion_probability:
+                    continue
+                if budget is not None:
+                    if not budget.can_spend():
+                        continue
+                    budget.spend()
+                present |= 1 << slot
+                if _corrupt_randomly(rng, None):
+                    bits |= 1 << slot
+            return bits, present
         probability = self.corruption_probability
         budget = self.budget
         if probability <= 0.0:
@@ -201,13 +156,14 @@ class RandomNoiseAdversary(Adversary):
         """The packed kernel when silent slots may draw (insertions enabled).
 
         Walks all ``count`` slots in offset order and draws exactly what
-        :meth:`corrupt_window` draws: one ``random()`` per slot whose
+        the per-slot path draws: one ``random()`` per slot whose
         probability (insertion if silent, corruption if present) is positive,
         then the corruption choice on a hit the budget allows.  Slots are
-        visited run by run — maximal stretches of equally present slots, so
-        an all-present or all-silent window is one tight loop.  The budget
-        only reads its transmission count at a hit, so that count is the
-        popcount of ``present`` up to the hit slot instead of a per-slot add.
+        visited run by run — maximal stretches of equally present slots, read
+        off the trailing ones or zeros of ``present`` — so an all-present
+        window is one tight loop.  The budget only reads its transmission
+        count at a hit, so that count is the popcount of ``present`` up to
+        the hit slot instead of a per-slot add.
         """
         rng = self._rng
         rand = rng.random
@@ -219,15 +175,16 @@ class RandomNoiseAdversary(Adversary):
             allowance = budget.absolute_allowance
             allowance_at = budget.allowance_at
         sent_present = present
-        # Bit i of ``edges`` is set where slot i + 1 differs in presence from
-        # slot i: each run ends just past the next set bit.
-        edges = sent_present ^ (sent_present >> 1)
         offset = 0
         while offset < count:
-            transmitted = (sent_present >> offset) & 1
-            rest = edges >> offset
-            end = min(count, offset + (rest & -rest).bit_length()) if rest else count
-            probability = self.corruption_probability if transmitted else self.insertion_probability
+            rest = sent_present >> offset
+            transmitted = rest & 1
+            if transmitted:
+                end = offset + (rest ^ (rest + 1)).bit_length() - 1
+                probability = self.corruption_probability
+            else:
+                end = offset + (rest & -rest).bit_length() - 1 if rest else count
+                probability = self.insertion_probability
             if probability:
                 for slot in range(offset, end):
                     if rand() >= probability:
@@ -308,14 +265,6 @@ class LinkTargetedAdversary(Adversary):
         self._spent += 1
         return _corrupt_randomly(self._rng, sent)
 
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # Only one directed link is ever attacked, so every other window is a
-        # pure pass-through: observe the realised communication in bulk and
-        # skip the per-slot machinery entirely.
-        if ctx.link != self.target or (self.phases is not None and ctx.phase not in self.phases):
-            return _pass_through_observing(self._budget, symbols)
-        return super().corrupt_window(ctx, symbols)
-
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
@@ -370,18 +319,6 @@ class BurstAdversary(Adversary):
         self._spent += 1
         return _corrupt_randomly(self._rng, sent)
 
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # Windows disjoint from the burst interval (or after the cap is
-        # exhausted) touch no state at all — not even the RNG.
-        last_round = ctx.base_round + len(symbols) - 1
-        if (
-            self._spent >= self.max_corruptions
-            or last_round < self.start_round
-            or ctx.base_round > self.end_round
-        ):
-            return list(symbols)
-        return super().corrupt_window(ctx, symbols)
-
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
@@ -434,42 +371,6 @@ class DeletionAdversary(Adversary):
                 return sent
             self.budget.spend()
         return None
-
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # Per-slot ``corrupt`` draws the RNG for every transmitted slot (even
-        # at probability 0), so the batch path must too — one draw per
-        # non-silent slot, in offset order.
-        rng = self._rng
-        rand = rng.random
-        probability = self.deletion_probability
-        budget = self.budget
-        out: List[Symbol] = []
-        append = out.append
-        if budget is None:
-            for sent in symbols:
-                if sent is None or rand() >= probability:
-                    append(sent)
-                else:
-                    append(None)
-            return out
-        seen = budget.transmissions_seen
-        spent = budget.corruptions_spent
-        fraction = budget.fraction
-        allowance = budget.absolute_allowance
-        allowance_at = budget.allowance_at
-        for sent in symbols:
-            if sent is None:
-                append(None)
-                continue
-            seen += 1
-            if rand() >= probability or spent + 1 > allowance_at(fraction, seen, allowance):
-                append(sent)
-                continue
-            append(None)
-            spent += 1
-        budget.transmissions_seen = seen
-        budget.corruptions_spent = spent
-        return out
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
@@ -534,8 +435,8 @@ class CompositeAdversary(Adversary):
             raise ValueError("CompositeAdversary needs at least one component")
         self.oblivious = all(component.oblivious for component in self.components)
         self.may_insert = any(component.may_insert for component in self.components)
-        # The batched path runs each component over a whole window before the
-        # next one sees it, mirroring budget counters locally per component.
+        # The packed kernel runs each component over a whole window before
+        # the next one sees it, mirroring budget counters locally per component.
         # That is only equivalent to the per-slot interleaving when every
         # component owns its budget, so a shared NoiseBudget object is
         # rejected rather than silently diverging between the two paths.
@@ -580,28 +481,18 @@ class CompositeAdversary(Adversary):
             symbol = component.corrupt(ctx, symbol)
         return symbol
 
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
+    def corrupt_window_packed(
+        self, ctx: WindowContext, bits: int, present: int, count: int
+    ) -> Tuple[int, int]:
         # Chaining whole windows is bit-identical to chaining per slot: each
         # component owns its RNG/budget, and its state when reaching slot i
         # depends only on the slots it already processed (0..i-1 of this
         # window in both orders) — the interleaving with other components is
-        # unobservable.  Components with a real notify_delivery hook break
-        # that argument, so they take the per-slot fallback (which chains
-        # `corrupt` per slot and forwards the original/final symbols through
-        # `notify_delivery`, exactly like the per-slot transport).
-        if not self._chain_windows:
-            return super().corrupt_window(ctx, symbols)
-        out = list(symbols)
-        for component in self.components:
-            out = component.corrupt_window(ctx, out)
-        return out
-
-    def corrupt_window_packed(
-        self, ctx: WindowContext, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
-        # Same chaining argument as ``corrupt_window``: each component's
-        # packed kernel is bit-identical to its symbol-sequence path, so the
-        # planes can flow straight through the chain without unpacking.
+        # unobservable, and each component's packed kernel is bit-identical
+        # to its per-slot path.  Components with a real notify_delivery hook
+        # break that argument, so they take the per-slot fallback (which
+        # chains `corrupt` per slot and forwards the original/final symbols
+        # through `notify_delivery`, exactly like the per-slot transport).
         if not self._chain_windows:
             return super().corrupt_window_packed(ctx, bits, present, count)
         for component in self.components:
@@ -663,15 +554,6 @@ class PhaseTargetedAdaptiveAdversary(Adversary):
         self._budget.spend()
         return _corrupt_randomly(self._rng, sent)
 
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # Windows outside the targeted phases (or beyond the iteration cap)
-        # only feed the budget's notion of realised communication.
-        if ctx.phase not in self.phases or (
-            self.max_iteration is not None and ctx.iteration > self.max_iteration
-        ):
-            return _pass_through_observing(self._budget, symbols)
-        return super().corrupt_window(ctx, symbols)
-
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
@@ -726,14 +608,6 @@ class RotatingLinkAdaptiveAdversary(Adversary):
         self._cursor = (self._cursor + 1) % len(self.links)
         return _corrupt_randomly(self._rng, sent)
 
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # The cursor only advances when a corruption lands on the cursor
-        # link, so a window on any other link cannot become targeted
-        # mid-window: bulk-observe it and pass it through.
-        if ctx.link != tuple(self.links[self._cursor]):
-            return _pass_through_observing(self._budget, symbols)
-        return super().corrupt_window(ctx, symbols)
-
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
@@ -786,14 +660,6 @@ class EchoSpoofingAdversary(Adversary):
             self._budget.spend()
             return self._rng.choice([0, 1])  # spoofed reply (insertion)
         return sent
-
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # Only the two directions of the target link are ever touched; every
-        # other window just grows the observed communication.
-        target = tuple(self.target)
-        if ctx.link != target and (ctx.link[1], ctx.link[0]) != target:
-            return _pass_through_observing(self._budget, symbols)
-        return super().corrupt_window(ctx, symbols)
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int

@@ -27,9 +27,10 @@ from repro.network.transport import NoisyNetwork
 from repro.protocols.base import Protocol, ReceivedMap
 
 
-def _majority(symbols: list) -> int:
-    ones = symbols.count(1)
-    zeros = symbols.count(0)
+def _majority(bits: int, present: int) -> int:
+    """Majority vote over the delivered copies; deleted copies do not vote."""
+    ones = bits.bit_count()
+    zeros = present.bit_count() - ones
     return 1 if ones > zeros else 0
 
 
@@ -50,17 +51,18 @@ def run_repetition(
     network = NoisyNetwork(graph, adversary=adversary)
     parties = {party: protocol.create_party(party) for party in graph.nodes}
     received: Dict[int, ReceivedMap] = {party: {} for party in graph.nodes}
+    full = (1 << repetitions) - 1
 
     for round_index, transmissions in enumerate(protocol.schedule()):
         # Each scheduled bit becomes one dense per-link window of length
-        # ``repetitions``; the whole round is a single batched exchange.
-        messages: Dict[Tuple[int, int], list] = {}
+        # ``repetitions``; the whole round is a single packed exchange.
+        messages: Dict[Tuple[int, int], Tuple[int, int]] = {}
         for sender, receiver in transmissions:
             bit = parties[sender].send_bit(round_index, receiver, received[sender])
-            messages[(sender, receiver)] = [bit] * repetitions
-        delivered = network.exchange_window(messages, repetitions, phase="baseline")
+            messages[(sender, receiver)] = (full if bit else 0, full)
+        delivered = network.exchange_window_packed(messages, repetitions, phase="baseline")
         for sender, receiver in transmissions:
-            received[receiver][(round_index, sender)] = _majority(delivered[(sender, receiver)])
+            received[receiver][(round_index, sender)] = _majority(*delivered[(sender, receiver)])
 
     outputs = {party: parties[party].compute_output(received[party]) for party in graph.nodes}
     success = all(outputs[party] == reference.outputs[party] for party in graph.nodes)

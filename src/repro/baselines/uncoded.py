@@ -22,7 +22,6 @@ from repro.adversary.base import Adversary, NoiselessAdversary
 from repro.analysis.metrics import RunMetrics
 from repro.network.transport import NoisyNetwork
 from repro.protocols.base import Protocol, ReceivedMap
-from repro.utils.bitstring import symbol_to_bit
 
 
 @dataclass
@@ -52,14 +51,16 @@ def run_uncoded(
     received: Dict[int, ReceivedMap] = {party: {} for party in graph.nodes}
 
     for round_index, transmissions in enumerate(protocol.schedule()):
-        messages: Dict[Tuple[int, int], list] = {}
+        messages: Dict[Tuple[int, int], Tuple[int, int]] = {}
         for sender, receiver in transmissions:
             bit = parties[sender].send_bit(round_index, receiver, received[sender])
-            messages[(sender, receiver)] = [bit]
-        delivered = network.exchange_window(messages, 1, phase="baseline")
+            messages[(sender, receiver)] = (bit, 1)
+        delivered = network.exchange_window_packed(messages, 1, phase="baseline")
         for sender, receiver in transmissions:
-            symbol = delivered[(sender, receiver)][0]
-            received[receiver][(round_index, sender)] = symbol_to_bit(symbol)
+            # The delivered bit plane lies inside the present plane, so a
+            # deleted slot reads as 0.
+            bits, _present = delivered[(sender, receiver)]
+            received[receiver][(round_index, sender)] = bits & 1
         # Insertions on idle links are delivered but ignored: the receiver is
         # not listening on a link with no scheduled transmission this round.
 

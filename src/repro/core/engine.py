@@ -248,7 +248,6 @@ class InteractiveCodingSimulator:
             "transport.windows_exchanged": network.windows_exchanged,
             "transport.sparse_dispatches": network.sparse_dispatches,
             "transport.dense_dispatches": network.dense_dispatches,
-            "transport.packed_dispatches": network.packed_dispatches,
             "transport.idle_rounds_collapsed": network.idle_rounds_collapsed,
             "transport.transmissions": stats.transmissions,
             "transport.delivered_symbols": stats.delivered_symbols,
@@ -439,12 +438,12 @@ class InteractiveCodingSimulator:
         # width-1 window; sparse dispatch keeps the cost proportional to the
         # level's population instead of the whole link set.
         for level in range(depth, 1, -1):
-            messages: Dict[Tuple[int, int], List[int]] = {}
+            messages: Dict[Tuple[int, int], Tuple[int, int]] = {}
             for node in self.graph.nodes:
                 if self.tree.level[node] == level:
                     parent = self.tree.parent[node]
-                    messages[(node, parent)] = [up_value[node]]
-            delivered = self.network.exchange_window(
+                    messages[(node, parent)] = (up_value[node], 1)
+            delivered = self.network.exchange_window_packed(
                 messages, 1, "flag_passing", iteration, sparse=True
             )
             for node in self.graph.nodes:
@@ -461,8 +460,8 @@ class InteractiveCodingSimulator:
             for node in self.graph.nodes:
                 if self.tree.level[node] == level and node in down_value:
                     for child in self.tree.children[node]:
-                        messages[(node, child)] = [down_value[node]]
-            delivered = self.network.exchange_window(
+                        messages[(node, child)] = (down_value[node], 1)
+            delivered = self.network.exchange_window_packed(
                 messages, 1, "flag_passing", iteration, sparse=True
             )
             for node in self.graph.nodes:
@@ -483,17 +482,17 @@ class InteractiveCodingSimulator:
     def _simulation_phase(self, iteration: int) -> None:
         # Round 0: parties that should not simulate send ⊥ (encoded as a 1) to
         # every neighbour; everyone listens.
-        bot_messages: Dict[Tuple[int, int], List[int]] = {}
+        bot_messages: Dict[Tuple[int, int], Tuple[int, int]] = {}
         for runtime in self.runtimes.values():
             if runtime.net_correct == 0:
                 for neighbor in runtime.neighbors():
-                    bot_messages[(runtime.party, neighbor)] = [1]
-        delivered = self.network.exchange_window(
+                    bot_messages[(runtime.party, neighbor)] = (1, 1)
+        delivered = self.network.exchange_window_packed(
             bot_messages, 1, "simulation", iteration, sparse=True
         )
         bot_from: Dict[int, Set[int]] = {party: set() for party in self.graph.nodes}
-        for (sender, receiver), symbols in delivered.items():
-            if symbols and symbols[0] == 1:
+        for (sender, receiver), (bits, _present) in delivered.items():
+            if bits & 1:  # bits lie inside present: a delivered 1
                 bot_from[receiver].add(sender)
 
         # Which links each party simulates this phase, and at which chunk index.
@@ -530,7 +529,7 @@ class InteractiveCodingSimulator:
             self.network.idle_rounds_collapsed += window
             return
         for offset in range(window):
-            messages: Dict[Tuple[int, int], List[int]] = {}
+            messages: Dict[Tuple[int, int], Tuple[int, int]] = {}
             for party, links in active.items():
                 if not links:
                     continue
@@ -545,7 +544,7 @@ class InteractiveCodingSimulator:
                             bit = self.runtimes[party].logic.send_bit(
                                 round_index, neighbor, workspace["received_map"]
                             )
-                            messages[(party, neighbor)] = [bit]
+                            messages[(party, neighbor)] = (bit, 1)
                             workspace["sent"][neighbor][round_index] = bit
             if not messages and not self.adversary.may_insert:
                 # Nothing scheduled anywhere this round; skip the exchange but
@@ -553,7 +552,7 @@ class InteractiveCodingSimulator:
                 self.network.advance_rounds(1)
                 self.network.idle_rounds_collapsed += 1
                 continue
-            delivered = self.network.exchange_window(
+            delivered = self.network.exchange_window_packed(
                 messages, 1, "simulation", iteration, sparse=True
             )
             for party, links in active.items():
@@ -601,7 +600,7 @@ class InteractiveCodingSimulator:
         rounds = self.scheme.rewind_round_count(self.graph)
         recorder = self._obs.recorder
         for round_index in range(rounds):
-            messages: Dict[Tuple[int, int], List[int]] = {}
+            messages: Dict[Tuple[int, int], Tuple[int, int]] = {}
             for runtime in self.runtimes.values():
                 party = runtime.party
                 min_chunk = runtime.min_chunk()
@@ -611,7 +610,7 @@ class InteractiveCodingSimulator:
                     if already[party][neighbor]:
                         continue
                     if len(runtime.transcripts[neighbor]) > min_chunk:
-                        messages[(party, neighbor)] = [1]
+                        messages[(party, neighbor)] = (1, 1)
                         runtime.transcripts[neighbor].truncate_last(1)
                         already[party][neighbor] = True
                         self._counters["rewinds_sent"] += 1
@@ -633,7 +632,7 @@ class InteractiveCodingSimulator:
                 self.network.advance_rounds(rounds - round_index)
                 self.network.idle_rounds_collapsed += rounds - round_index
                 return
-            delivered = self.network.exchange_window(
+            delivered = self.network.exchange_window_packed(
                 messages, 1, "rewind", iteration, sparse=True
             )
             for runtime in self.runtimes.values():
@@ -660,12 +659,14 @@ class InteractiveCodingSimulator:
 
     @staticmethod
     def _delivered_symbol(
-        delivered: Dict[Tuple[int, int], List[Symbol]], link: Tuple[int, int]
+        delivered: Dict[Tuple[int, int], Tuple[int, int]], link: Tuple[int, int]
     ) -> Symbol:
-        """First delivered symbol on ``link``; a link a sparse exchange omitted
-        from the result carried pure silence."""
-        window = delivered.get(link)
-        return window[0] if window is not None else None
+        """First delivered symbol on ``link``, decoded from its plane pair; a
+        link a sparse exchange omitted from the result carried pure silence."""
+        planes = delivered.get(link)
+        if planes is None or not planes[1] & 1:
+            return None
+        return planes[0] & 1
 
     def _transcript(self, owner: int, neighbor: int) -> LinkTranscript:
         return self.runtimes[owner].transcripts[neighbor]

@@ -73,12 +73,12 @@ class TransmissionContext:
 class WindowContext:
     """Metadata describing one window of consecutive slots on one directed link.
 
-    The batched transmission path hands one ``WindowContext`` per directed
-    link to :meth:`~repro.adversary.base.Adversary.corrupt_window`; slot
-    ``offset`` of the window corresponds to absolute round
+    The packed transmission path hands one ``WindowContext`` per directed
+    link to :meth:`~repro.adversary.base.Adversary.corrupt_window_packed`;
+    slot ``offset`` of the window corresponds to absolute round
     ``base_round + offset``.  :meth:`slot` materialises the equivalent
-    per-slot :class:`TransmissionContext`, which is what the fallback path
-    (and any adversary that only implements ``corrupt``) consumes.
+    per-slot :class:`TransmissionContext`, which is what the per-slot
+    fallback (and any adversary that only implements ``corrupt``) consumes.
 
     A hand-rolled ``__slots__`` class rather than a dataclass: one instance
     is allocated per (link, window) on the transport hot path, where the

@@ -7,30 +7,27 @@ receiver.  It
 * hands the traffic to the adversary,
 * keeps the global round counter and all communication / corruption
   statistics (:class:`~repro.network.channel.ChannelStats`), and
-* exposes window-oriented helpers (``exchange_window``) because every phase
-  of the coding scheme transmits a fixed-length burst of symbols on many
-  links in parallel, one symbol per round per direction.
+* exposes one window-oriented dispatch (``exchange_window_packed``) because
+  every phase of the coding scheme transmits a fixed-length burst of symbols
+  on many links in parallel, one symbol per round per direction.
 
-Four transmission paths exist:
+There is one wire format, the ``(bits, present)`` integer plane pair of
+:func:`~repro.utils.bitstring.pack_symbols`: slot ``i`` carries bit ``i`` of
+``bits`` iff bit ``i`` of ``present`` is set, and is silent otherwise — the
+paper's per-slot alphabet {0, 1, silence}.  Three transmission paths exist:
 
-* the **packed path** (the engine's meeting-points exchange):
-  ``exchange_window_packed`` carries each directed link's window as a
-  ``(bits, present)`` integer plane pair (the
-  :func:`~repro.utils.bitstring.pack_symbols` convention) end to end — one
+* the **packed path** (every engine phase, the randomness exchange and both
+  baselines): ``exchange_window_packed`` carries each directed link's window
+  as one plane pair end to end — one
   :meth:`~repro.adversary.base.Adversary.corrupt_window_packed` call and one
   O(1)-popcount :meth:`~repro.network.channel.ChannelStats.record_window_packed`
   pass per link, with no per-slot symbol objects anywhere;
-* the **batched path** (the engine's lockstep phases): ``exchange_window``
-  makes one :meth:`~repro.adversary.base.Adversary.corrupt_window` call per
-  directed link and one :meth:`~repro.network.channel.ChannelStats.record_window`
-  bookkeeping pass per window — no per-slot contexts, calls or dictionary
-  updates;
 * the **single-slot reference**: ``transmit`` carries one symbol through the
   classic ``TransmissionContext`` → ``corrupt`` → ``record`` →
   ``notify_delivery`` pipeline, and ``exchange_window_per_slot`` runs a whole
-  window through it.  The engine never calls it; it is the oracle the
-  batched and packed paths are pinned bit-identical to for every adversary
-  honouring the ``corrupt_window`` contract (``tests/test_transport.py``);
+  symbol-list window through it.  No production path calls it; it is the
+  oracle the packed path is pinned bit-identical to for every adversary
+  (``tests/test_transport.py``, ``tests/oracles.py``);
 * the **merged phase path**: ``exchange_phase`` opens one
   :class:`PhaseExchange` covering a whole phase's rounds for adversaries
   honouring the slot-addressed contract
@@ -75,7 +72,6 @@ class NoisyNetwork:
     sparse_dispatches: int = 0
     dense_dispatches: int = 0
     merged_dispatches: int = 0
-    packed_dispatches: int = 0
     idle_rounds_collapsed: int = 0
 
     def __post_init__(self) -> None:
@@ -89,39 +85,42 @@ class NoisyNetwork:
 
     @staticmethod
     def _check_notify_contract(adversary: Adversary) -> None:
-        """Reject adversaries whose batch path would silently skip notifications.
+        """Reject adversaries whose window kernel would silently skip notifications.
 
-        The stock native ``corrupt_window`` overrides never call
-        ``notify_delivery`` (it is a no-op for every stock adversary).  A
-        subclass that overrides ``notify_delivery`` while *inheriting* such an
-        override would therefore record different state on the batched and
-        per-slot paths — the exact silent divergence the bit-identity
-        guarantee forbids.  The hazard exists precisely when the class
-        providing ``corrupt_window`` is unrelated to (not a subclass of, and
-        not the base fallback seen by) the class providing
-        ``notify_delivery``; overriding ``corrupt_window`` alongside (or
-        below) the notify override, or restoring the base fallback with
-        ``corrupt_window = Adversary.corrupt_window``, declares the pairing
-        intentional.
+        The transport calls ``corrupt_window_packed`` once per link and
+        window.  The stock native kernels never call ``notify_delivery`` (it
+        is a no-op for every stock adversary).  A subclass that overrides
+        ``notify_delivery`` while *inheriting* such a kernel would therefore
+        record different state on the packed and per-slot paths — the exact
+        silent divergence the bit-identity guarantee forbids.  When the
+        packed kernel is the base fallback, the kernel that actually runs is
+        ``corrupt_window`` (the fallback unpacks and calls it), so a
+        list-valued ``corrupt_window`` inherited past the notify hook is the
+        same hazard.  It exists precisely when the class providing the kernel
+        is unrelated to (not a subclass of) the class providing
+        ``notify_delivery``; overriding the kernel alongside (or below) the
+        notify override, or restoring the per-slot fallback with
+        ``corrupt_window_packed = Adversary.corrupt_window_packed``, declares
+        the pairing intentional.
         """
         adversary_type = type(adversary)
         if adversary_type.notify_delivery is Adversary.notify_delivery:
             return
-        corrupt_window_owner = next(
-            klass for klass in adversary_type.__mro__ if "corrupt_window" in klass.__dict__
-        )
-        notify_owner = next(
-            klass for klass in adversary_type.__mro__ if "notify_delivery" in klass.__dict__
-        )
-        if corrupt_window_owner is Adversary:
-            return  # the base fallback interleaves notify_delivery per slot
-        if issubclass(corrupt_window_owner, notify_owner):
-            return  # whoever wrote corrupt_window knew about the notify hook
+        mro = adversary_type.__mro__
+        notify_owner = next(klass for klass in mro if "notify_delivery" in klass.__dict__)
+        for kernel in ("corrupt_window_packed", "corrupt_window"):
+            owner = next(klass for klass in mro if kernel in klass.__dict__)
+            if owner is not Adversary:
+                break
+        else:
+            return  # the per-slot fallback interleaves notify_delivery per slot
+        if issubclass(owner, notify_owner):
+            return  # whoever wrote the kernel knew about the notify hook
         raise ValueError(
             f"{adversary_type.__name__} overrides notify_delivery but inherits "
-            f"corrupt_window from {corrupt_window_owner.__name__}, whose batch path "
-            "never notifies: override corrupt_window too, or restore the per-slot "
-            "fallback with `corrupt_window = Adversary.corrupt_window`"
+            f"{kernel} from {owner.__name__}, whose window kernel never notifies: "
+            f"override {kernel} too, or restore the per-slot fallback with "
+            f"`{kernel} = Adversary.{kernel}`"
         )
 
     # -- round bookkeeping --------------------------------------------------
@@ -172,105 +171,6 @@ class NoisyNetwork:
 
     # -- window transmission --------------------------------------------------
 
-    def exchange_window(
-        self,
-        messages: Dict[Tuple[int, int], Sequence[Symbol]],
-        window_rounds: int,
-        phase: str,
-        iteration: int = -1,
-        sparse: bool = False,
-    ) -> Dict[Tuple[int, int], List[Symbol]]:
-        """Run ``window_rounds`` synchronous rounds in which each directed link
-        ``(u, v)`` carries the symbol sequence ``messages[(u, v)]`` (padded with
-        silence up to the window length).
-
-        Every directed link of the graph participates in every round of the
-        window, even if its sender stays silent: this is what allows the
-        adversary to *insert* symbols on idle links, exactly as in the paper's
-        noise model.  Message keys must be directed links of the network.
-        Returns the symbols delivered on every directed link.
-
-        ``sparse=True`` permits (but does not guarantee) omitting silent links
-        from the result when the adversary cannot insert — a silent link under
-        a non-inserting adversary always delivers pure silence, so the caller
-        loses nothing by treating a missing key as an all-``None`` window.
-        The wire behaviour (adversary calls, statistics, clock) is identical;
-        only the shape of the returned mapping changes.  Engine phases that
-        transmit on a handful of links per round use this to skip the
-        O(links) result-building work entirely.
-        """
-        self._validate_window(messages, window_rounds)
-        adversary = self.adversary
-        corrupt_window = adversary.corrupt_window
-        may_insert = adversary.may_insert
-        stats = self.stats
-        base_round = self.current_round
-        omit_silent = sparse and not may_insert
-        self.windows_exchanged += 1
-        if omit_silent:
-            self.sparse_dispatches += 1
-        else:
-            self.dense_dispatches += 1
-        # The adversary sees the window as an immutable tuple, so the sent
-        # record used for corruption accounting below cannot be mutated in
-        # place — the accounting structurally cannot be bypassed.  The
-        # all-silent window is shared across links (it is never writable).
-        silence_tuple = (None,) * window_rounds
-        silence_list = [None] * window_rounds
-        received: Dict[Tuple[int, int], List[Symbol]] = {}
-        if omit_silent:
-            # Silent links are skipped entirely, so only the message links are
-            # visited — in canonical directed-edge order, because stateful
-            # adversaries must see corrupt_window calls in the same sequence
-            # as a full scan would produce.
-            link_index = self.graph.directed_edge_index()
-            links: Sequence[Tuple[int, int]] = sorted(messages, key=link_index.__getitem__)
-        else:
-            links = self.graph.directed_edges()
-        for link in links:
-            outgoing = messages.get(link)
-            if outgoing is None:
-                if not may_insert:
-                    # A non-inserting adversary maps silence to silence; skip
-                    # the whole window (the slots carry no bits).
-                    if not omit_silent:
-                        received[link] = [None] * window_rounds
-                    continue
-                window_tuple = silence_tuple
-                window = silence_list  # read-only: compared and counted, never handed out
-            else:
-                window = list(outgoing)
-                if len(window) < window_rounds:
-                    window.extend([None] * (window_rounds - len(window)))
-                window_tuple = tuple(window)
-            ctx = WindowContext(link=link, phase=phase, iteration=iteration, base_round=base_round)
-            delivered = corrupt_window(ctx, window_tuple)
-            if type(delivered) is not list:
-                delivered = list(delivered)
-            if delivered == window:
-                # Untouched window: the input was already validated, so only
-                # the transmission counters can change — and an all-silent
-                # window cannot even do that.
-                if outgoing is not None:
-                    stats.record_window(ctx, window, delivered)
-            else:
-                if len(delivered) != window_rounds:
-                    raise ValueError(
-                        f"adversary delivered {len(delivered)} symbols for a "
-                        f"{window_rounds}-round window on link {link}"
-                    )
-                for value in delivered:
-                    if value not in _VALID_SYMBOLS:
-                        raise ValueError(f"adversary produced invalid symbol {value!r}")
-                stats.record_window(ctx, window, delivered)
-                if self.recorder is not None:
-                    self.recorder.record_window(
-                        link_label(*link), phase, iteration, base_round, window, delivered
-                    )
-            received[link] = delivered
-        self.advance_rounds(window_rounds)
-        return received
-
     def exchange_window_packed(
         self,
         messages: Dict[Tuple[int, int], Tuple[int, int]],
@@ -279,19 +179,34 @@ class NoisyNetwork:
         iteration: int = -1,
         sparse: bool = False,
     ) -> Dict[Tuple[int, int], Tuple[int, int]]:
-        """Packed-plane variant of :meth:`exchange_window`.
+        """Run ``window_rounds`` synchronous rounds in which each directed link
+        ``(u, v)`` carries the window ``messages[(u, v)]``.
 
         Each directed link's window travels as one ``(bits, present)``
         integer plane pair following the
         :func:`~repro.utils.bitstring.pack_symbols` convention — slot ``i``
-        carries bit ``i`` of ``bits`` iff bit ``i`` of ``present`` is set —
-        instead of a symbol sequence.  Wire behaviour, statistics, clock and
-        the ``sparse`` contract are identical to :meth:`exchange_window`
-        (``tests/test_transport.py`` pins the bit-identity for all stock
-        adversaries); what changes is the cost model: validation is two mask
-        checks per link, corruption is one
-        :meth:`~repro.adversary.base.Adversary.corrupt_window_packed` call,
-        and accounting is O(1) popcounts.
+        carries bit ``i`` of ``bits`` iff bit ``i`` of ``present`` is set, and
+        is silent otherwise.  Every directed link of the graph participates
+        in every round of the window, even if its sender stays silent: this
+        is what allows the adversary to *insert* symbols on idle links,
+        exactly as in the paper's noise model.  Message keys must be directed
+        links of the network.  Returns the delivered plane pair of every
+        directed link.
+
+        ``sparse=True`` permits (but does not guarantee) omitting silent links
+        from the result when the adversary cannot insert — a silent link under
+        a non-inserting adversary always delivers pure silence, so the caller
+        loses nothing by treating a missing key as ``(0, 0)``.  The wire
+        behaviour (adversary calls, statistics, clock) is identical; only the
+        shape of the returned mapping changes.  Engine phases that transmit
+        on a handful of links per round use this to skip the O(links)
+        result-building work entirely.
+
+        Validation is two mask checks per link, corruption is one
+        :meth:`~repro.adversary.base.Adversary.corrupt_window_packed` call
+        per link, and accounting is O(1) popcounts.  The result is
+        bit-identical to :meth:`exchange_window_per_slot` for every adversary
+        honouring the kernel contract (``tests/test_transport.py``).
         """
         if window_rounds < 0:
             raise ValueError("window_rounds must be non-negative")
@@ -303,7 +218,6 @@ class NoisyNetwork:
         base_round = self.current_round
         omit_silent = sparse and not may_insert
         self.windows_exchanged += 1
-        self.packed_dispatches += 1
         if omit_silent:
             self.sparse_dispatches += 1
         else:
@@ -327,9 +241,10 @@ class NoisyNetwork:
                     )
         received: Dict[Tuple[int, int], Tuple[int, int]] = {}
         if omit_silent:
-            # Same canonical directed-edge order as the batched sparse
-            # dispatch, for the same reason: stateful adversaries must see
-            # the corruption calls in the sequence a full scan would produce.
+            # Silent links are skipped entirely, so only the message links are
+            # visited — in canonical directed-edge order, because stateful
+            # adversaries must see the kernel calls in the same sequence as a
+            # full scan would produce.
             link_index = self.graph.directed_edge_index()
             links: Sequence[Tuple[int, int]] = sorted(messages, key=link_index.__getitem__)
         else:
@@ -345,7 +260,8 @@ class NoisyNetwork:
             else:
                 bits, present = outgoing
             ctx = WindowContext(link=link, phase=phase, iteration=iteration, base_round=base_round)
-            dbits, dpresent = corrupt_window_packed(ctx, bits, present, window_rounds)
+            delivered = corrupt_window_packed(ctx, bits, present, window_rounds)
+            dbits, dpresent = delivered
             if dbits == bits and dpresent == present:
                 # Untouched window: only the transmission counters can
                 # change, and an all-silent window cannot even do that.
@@ -368,7 +284,7 @@ class NoisyNetwork:
                         unpack_symbols(bits, present, window_rounds),
                         unpack_symbols(dbits, dpresent, window_rounds),
                     )
-            received[link] = (dbits, dpresent)
+            received[link] = delivered
         self.advance_rounds(window_rounds)
         return received
 
@@ -380,13 +296,15 @@ class NoisyNetwork:
         iteration: int = -1,
         sparse: bool = False,
     ) -> Dict[Tuple[int, int], List[Symbol]]:
-        """The single-slot reference implementation of :meth:`exchange_window`.
+        """The single-slot reference implementation of :meth:`exchange_window_packed`.
 
-        Every slot goes through :meth:`transmit` individually.  This is the
-        semantics the batched path must reproduce bit for bit; equivalence
-        tests and benchmarks run both side by side.  ``sparse`` has the same
-        meaning (and the same wire-identical guarantee) as on
-        :meth:`exchange_window`.
+        Windows are symbol sequences (``0``, ``1`` or ``None`` for silence,
+        padded with silence up to ``window_rounds``), and every slot goes
+        through :meth:`transmit` individually.  This is the semantics the
+        packed path must reproduce bit for bit; ``tests/oracles.py`` routes
+        whole trials through it, and equivalence tests and benchmarks run both
+        side by side.  ``sparse`` has the same meaning (and the same
+        wire-identical guarantee) as on :meth:`exchange_window_packed`.
         """
         self._validate_window(messages, window_rounds)
         received: Dict[Tuple[int, int], List[Symbol]] = {}
@@ -394,7 +312,7 @@ class NoisyNetwork:
         omit_silent = sparse and not may_insert
         self.windows_exchanged += 1
         if omit_silent:
-            # Same canonical order and same result shape as the batched
+            # Same canonical order and same result shape as the packed
             # sparse dispatch: silent links carry no bits for a non-inserting
             # adversary, so they are omitted from the scan and the result.
             self.sparse_dispatches += 1
@@ -455,7 +373,7 @@ class NoisyNetwork:
         messages: Dict[Tuple[int, int], Sequence[Symbol]],
         window_rounds: int,
     ) -> None:
-        """Shared validation: window length, message keys and symbol values."""
+        """Validation of a symbol-list window: length, message keys and symbol values."""
         if window_rounds < 0:
             raise ValueError("window_rounds must be non-negative")
         if not messages:

@@ -186,6 +186,40 @@ class TestRandomNoiseInsertingPackedKernel:
                 assert packed.budget.transmissions_seen == reference.budget.transmissions_seen
                 assert packed.budget.corruptions_spent == reference.budget.corruptions_spent
 
+    @pytest.mark.parametrize(
+        "allowance",
+        [None, 10**6, 3, 0],
+        ids=["unbudgeted", "budget-open", "budget-exhausting", "budget-exhausted"],
+    )
+    def test_all_silent_windows_match_per_slot_oracle(self, allowance):
+        """The all-silent branch (idle links of a dense dispatch): windows of
+        1..N slots with ``present == 0`` draw, insert and spend exactly like
+        the per-slot fallback, whether the budget is open, runs out midway or
+        is exhausted from the start."""
+
+        def build():
+            budget = None if allowance is None else NoiseBudget(absolute_allowance=allowance)
+            return RandomNoiseAdversary(
+                corruption_probability=0.2, insertion_probability=0.3, seed=5, budget=budget
+            )
+
+        packed, reference = build(), build()
+        inserted = 0
+        for length in range(1, 41):
+            ctx = _window_ctx(base_round=length * 50)
+            got = packed.corrupt_window_packed(ctx, 0, 0, length)
+            expected = Adversary.corrupt_window(reference, ctx, (None,) * length)
+            assert got == pack_symbols(expected)
+            assert packed._rng.getstate() == reference._rng.getstate()
+            if allowance is not None:
+                assert packed.budget.transmissions_seen == reference.budget.transmissions_seen == 0
+                assert packed.budget.corruptions_spent == reference.budget.corruptions_spent
+            inserted += got[1].bit_count()
+        if allowance in (None, 10**6):
+            assert inserted > 100  # the branch really inserted, not just passed through
+        else:
+            assert inserted == packed.budget.corruptions_spent == allowance
+
 
 class TestLinkTargeted:
     def test_only_target_link_is_hit(self):
@@ -294,8 +328,8 @@ class TestComposite:
         assert composite.oblivious is False
 
     def test_rejects_shared_noise_budget(self):
-        """A budget shared between components would make the batched and
-        per-slot paths diverge (the batch overrides mirror counters locally
+        """A budget shared between components would make the packed and
+        per-slot paths diverge (the packed kernels mirror counters locally
         per component), so the unsupported configuration fails loudly."""
         shared = NoiseBudget(fraction=0.1)
         with pytest.raises(ValueError, match="share a NoiseBudget"):
@@ -407,15 +441,17 @@ def test_composite_with_notify_using_component_stays_bit_identical():
             )
         )
 
-    batched = NoisyNetwork(line_topology(3), adversary=build())
+    packed = NoisyNetwork(line_topology(3), adversary=build())
     per_slot = NoisyNetwork(line_topology(3), adversary=build())
     messages = {(0, 1): [1, 1, 0, 1, 0, 1], (1, 2): [0, 1, 1, None, 1, 0]}
-    a = batched.exchange_window(messages, 6, phase="simulation")
+    a = packed.exchange_window_packed(
+        {link: pack_symbols(symbols) for link, symbols in messages.items()}, 6, phase="simulation"
+    )
     b = per_slot.exchange_window_per_slot(messages, 6, phase="simulation")
-    assert a == b
-    assert batched.stats == per_slot.stats
+    assert a == {link: pack_symbols(symbols) for link, symbols in b.items()}
+    assert packed.stats == per_slot.stats
     assert (
-        batched.adversary.components[1].last_was_clean
+        packed.adversary.components[1].last_was_clean
         == per_slot.adversary.components[1].last_was_clean
     )
 
@@ -441,7 +477,7 @@ class _PerSlotOnlyAdversary(Adversary):
 
 
 class TestCorruptWindow:
-    """The batch contract: corrupt_window must mirror per-slot corrupt calls."""
+    """The window contract: corrupt_window_packed must mirror per-slot corrupt calls."""
 
     def _per_slot_reference(self, build, ctx, window):
         """Drive `corrupt` slot by slot the way the per-slot transport would."""
@@ -503,8 +539,8 @@ class TestCorruptWindow:
         ctx = _window_ctx(link=(0, 1), phase="simulation", base_round=0)
         reference_adversary, reference = self._per_slot_reference(builder, ctx, window)
         adversary = builder()
-        delivered = adversary.corrupt_window(ctx, window)
-        assert delivered == reference
+        delivered = adversary.corrupt_window_packed(ctx, *pack_symbols(window), len(window))
+        assert delivered == pack_symbols(reference)
         rng = getattr(adversary, "_rng", None)
         if rng is not None:
             assert rng.getstate() == reference_adversary._rng.getstate()
@@ -512,8 +548,8 @@ class TestCorruptWindow:
     def test_fallback_covers_corrupt_only_adversaries(self):
         adversary = _PerSlotOnlyAdversary()
         ctx = _window_ctx(link=(0, 1), base_round=10)
-        delivered = adversary.corrupt_window(ctx, [1, None, 0])
-        assert delivered == [0, None, 1]
+        delivered = adversary.corrupt_window_packed(ctx, *pack_symbols([1, None, 0]), 3)
+        assert unpack_symbols(*delivered, 3) == [0, None, 1]
         # the fallback materialised one per-slot context per slot, in order,
         # and interleaved the notification hook exactly like the slot path
         assert adversary.calls == [(10, 0, 1), (11, 1, None), (12, 2, 0)]
@@ -522,8 +558,8 @@ class TestCorruptWindow:
     def test_fallback_skips_silent_slots_for_non_inserting_adversaries(self):
         adversary = _PerSlotOnlyAdversary()
         adversary.may_insert = False
-        delivered = adversary.corrupt_window(_window_ctx(), [None, 1, None])
-        assert delivered == [None, 0, None]
+        delivered = adversary.corrupt_window_packed(_window_ctx(), *pack_symbols([None, 1, None]), 3)
+        assert unpack_symbols(*delivered, 3) == [None, 0, None]
         assert adversary.calls == [(1, 1, 1)]
 
     def test_window_context_slot_materialisation(self):
@@ -602,7 +638,6 @@ class TestCheckContract:
         report = check_contract(adversary)
         assert report.adversary == adversary.name
         assert report.slot_addressed is adversary.slot_addressed
-        assert "batched-equivalence" in report.laws
         assert "packed-equivalence" in report.laws
         if adversary.slot_addressed:
             assert {"purity", "slot-decomposability", "path-agreement"} <= set(report.laws)
@@ -619,7 +654,7 @@ class TestCheckContract:
         class LyingAdversary(RandomNoiseAdversary):
             """Claims the contract but draws from its sequential stream.
 
-            All three paths agree bit for bit (so batched-equivalence holds),
+            All three paths agree bit for bit (so packed-equivalence holds),
             yet every evaluation advances ``self._rng`` — the purity law is
             what must catch it.
             """
@@ -658,10 +693,9 @@ class TestCheckContract:
 
     def test_rejects_schedule_disagreeing_with_corrupt(self):
         class DisagreeingAdversary(NoiselessAdversary):
-            # Restore the per-slot fallbacks so the batched and packed paths
-            # both replay the divergent ``corrupt`` (their equivalence laws
-            # hold) and only the schedule/corrupt disagreement is left to catch.
-            corrupt_window = Adversary.corrupt_window
+            # Restore the per-slot fallback so the packed path replays the
+            # divergent ``corrupt`` (packed-equivalence holds) and only the
+            # schedule/corrupt disagreement is left to catch.
             corrupt_window_packed = Adversary.corrupt_window_packed
 
             def corrupt(self, ctx, sent):
@@ -678,13 +712,27 @@ class TestCheckContract:
             check_contract(NotReallyStatefulAdversary())
 
     def test_rejects_batched_divergence(self):
-        class DivergentBatchAdversary(DeletionAdversary):
+        """A third-party list-valued ``corrupt_window`` is what the base packed
+        fallback runs, so its divergence from per-slot ``corrupt`` must fail
+        the packed law."""
+
+        class DivergentListKernelAdversary(Adversary):
+            may_insert = False
+
+            def __init__(self):
+                self._rng = random.Random(1)
+
+            def corrupt(self, ctx, sent):
+                return None if self._rng.random() < 0.5 else sent
+
             def corrupt_window(self, ctx, symbols):
                 return list(symbols)  # skips the per-slot RNG draws
 
-        divergent = DivergentBatchAdversary(deletion_probability=0.5, seed=1)
-        with pytest.raises(ContractViolation, match="batched-equivalence"):
-            check_contract(divergent)
+            def reset(self):
+                self._rng = random.Random(1)
+
+        with pytest.raises(ContractViolation, match="packed-equivalence"):
+            check_contract(DivergentListKernelAdversary())
 
     def test_rejects_packed_divergence(self):
         class DivergentPackedAdversary(DeletionAdversary):

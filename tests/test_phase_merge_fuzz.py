@@ -1,8 +1,8 @@
 """Differential fuzzing of the engine's production path against the oracle.
 
-The engine runs every phase with one schedule: the flag-passing, simulation
-and rewind phases round by round through batched ``exchange_window``
-dispatches, the meeting-points exchange through ``exchange_window_packed``'s
+The engine runs every phase with one schedule and one wire format: the
+meeting-points exchange as one window, the flag-passing, simulation and
+rewind phases round by round, all through ``exchange_window_packed``'s
 ``(bits, present)`` plane pairs.  That path is advertised as
 **bit-identical** to the per-slot reference: not "statistically equivalent",
 but the same ``SimulationResult``, the same
@@ -25,7 +25,7 @@ capped burst, a composite of the last two kinds, and a plain random-noise
 The observability mode covers the flight recorder too: a run under an
 ambient :class:`~repro.obs.recorder.FlightRecorder` must stay bit-identical
 (results, stats, budgets, RNG positions), and the *recorded* corruption
-events must agree across the two paths up to emission order (the batched
+events must agree across the two paths up to emission order (the packed
 transport emits per link per window; the per-slot oracle slot by slot — same
 multiset, different interleaving).
 
@@ -179,10 +179,26 @@ def _run(scheme_name, topology_name, adversary_name, seed, oracle, obs_mode="dar
         simulator = InteractiveCodingSimulator(
             protocol, scheme=scheme_by_name(scheme_name), adversary=adversary, seed=seed
         )
+        _count_transmits(simulator.network)
         if oracle:
             route_per_slot(simulator.network)
         result = simulator.run()
     return simulator, result, recorder
+
+
+def _count_transmits(network):
+    """Count ``network.transmit`` calls in ``network.transmit_calls``.
+
+    ``transmit`` is the per-slot oracle's only way onto the wire and no
+    production path calls it, so the count proves which path a run took."""
+    network.transmit_calls = 0
+    transmit = network.transmit
+
+    def counted(*args, **kwargs):
+        network.transmit_calls += 1
+        return transmit(*args, **kwargs)
+
+    network.transmit = counted
 
 
 def _result_fingerprint(result):
@@ -228,7 +244,7 @@ def _event_key(event):
 def _assert_same_recording(reference_recorder, production_recorder):
     """Both paths must record the same protocol events.
 
-    Corruption events are compared as multisets (the batched transport emits
+    Corruption events are compared as multisets (the packed transport emits
     per link per window, the per-slot oracle slot by slot — same slots,
     different interleaving).  Engine- and session-emitted events (meeting
     points, rewinds, hash collisions, Φ) follow the same runtime-iteration
@@ -262,10 +278,10 @@ class TestPhaseMergeDifferential:
         _assert_bit_identical(reference_run, production_run)
         if obs_mode == "recorder":
             _assert_same_recording(reference_run[2], production_run[2])
-        assert reference_run[0].network.packed_dispatches == 0
-        # The packed meeting-points exchange runs for every adversary —
-        # corrupt_window_packed is contract-pinned bit-identical.
-        assert production_run[0].network.packed_dispatches > 0
+        # The oracle went slot by slot; production never left the packed
+        # path (corrupt_window_packed is contract-pinned bit-identical).
+        assert reference_run[0].network.transmit_calls > 0
+        assert production_run[0].network.transmit_calls == 0
 
     @_FUZZ
     @given(

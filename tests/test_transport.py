@@ -1,12 +1,12 @@
 """Unit tests for the synchronous noisy transport.
 
 The second half of this file is the property-style equivalence suite of the
-batched window path: random graphs, random window sequences and many seeds
-run through both ``exchange_window`` (batched) and
-``exchange_window_per_slot`` (the single-slot reference) for every stock
-adversary, asserting identical deliveries, identical ``ChannelStats``,
-identical clock, and identical adversary-internal state (budgets, cursors,
-RNG streams).
+packed window path: random graphs, random window sequences and many seeds
+run through both ``exchange_window_packed`` (one kernel call per link and
+window) and ``exchange_window_per_slot`` (the single-slot reference) for
+every stock adversary, asserting identical deliveries, identical
+``ChannelStats``, identical clock, and identical adversary-internal state
+(budgets, cursors, RNG streams).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.adversary.strategies import (
 )
 from repro.network.topologies import line_topology, random_connected_topology
 from repro.network.transport import NoisyNetwork
+from repro.utils.bitstring import pack_symbols, unpack_symbols
 from repro.utils.rng import make_rng
 
 
@@ -65,51 +66,61 @@ class TestExchangeWindow:
     def test_window_delivers_all_directed_links(self):
         graph = line_topology(3)
         network = NoisyNetwork(graph)
-        received = network.exchange_window({(0, 1): [1, 0]}, window_rounds=2, phase="simulation")
+        received = network.exchange_window_packed(
+            {(0, 1): (0b01, 0b11)}, window_rounds=2, phase="simulation"
+        )
         assert set(received) == set(graph.directed_edges())
-        assert received[(0, 1)] == [1, 0]
-        assert received[(1, 0)] == [None, None]
+        assert received[(0, 1)] == (0b01, 0b11)  # the symbols [1, 0]
+        assert received[(1, 0)] == (0, 0)
         assert network.current_round == 2
 
     def test_window_rejects_overlong_messages(self):
         network = NoisyNetwork(line_topology(3))
-        with pytest.raises(ValueError):
-            network.exchange_window({(0, 1): [1, 1, 1]}, window_rounds=2, phase="simulation")
+        with pytest.raises(ValueError, match="beyond the 2-round window"):
+            network.exchange_window_packed(
+                {(0, 1): (0b111, 0b111)}, window_rounds=2, phase="simulation"
+            )
+        with pytest.raises(ValueError, match="but the window only has 2 rounds"):
+            network.exchange_window_per_slot(
+                {(0, 1): [1, 1, 1]}, window_rounds=2, phase="simulation"
+            )
 
     def test_window_counts_communication(self):
         network = NoisyNetwork(line_topology(3))
-        network.exchange_window({(0, 1): [1, 1], (2, 1): [0]}, window_rounds=3, phase="simulation")
+        network.exchange_window_packed(
+            {(0, 1): (0b11, 0b11), (2, 1): (0, 0b1)}, window_rounds=3, phase="simulation"
+        )
         assert network.communication() == 3
 
     def test_deletions_recorded(self):
         adversary = DeletionAdversary(deletion_probability=1.0, seed=0)
         network = NoisyNetwork(line_topology(3), adversary=adversary)
-        received = network.exchange_window({(0, 1): [1]}, window_rounds=1, phase="simulation")
-        assert received[(0, 1)] == [None]
+        received = network.exchange_window_packed({(0, 1): (1, 1)}, window_rounds=1, phase="simulation")
+        assert received[(0, 1)] == (0, 0)
         assert network.stats.deletions == 1
         assert network.noise_fraction() == 1.0
 
     def test_insertions_possible_on_idle_links(self):
         adversary = RandomNoiseAdversary(corruption_probability=0.0, insertion_probability=1.0, seed=1)
         network = NoisyNetwork(line_topology(3), adversary=adversary)
-        received = network.exchange_window({}, window_rounds=1, phase="simulation")
+        received = network.exchange_window_packed({}, window_rounds=1, phase="simulation")
         # every directed link received an inserted symbol
-        assert all(symbols[0] in (0, 1) for symbols in received.values())
+        assert all(present == 1 for _bits, present in received.values())
         assert network.stats.insertions == len(received)
         # insertions do not count as transmissions
         assert network.stats.transmissions == 0
 
     def test_non_inserting_adversary_skips_idle_slots(self):
         network = NoisyNetwork(line_topology(3), adversary=NoiselessAdversary())
-        received = network.exchange_window({}, window_rounds=4, phase="simulation")
-        assert all(symbols == [None] * 4 for symbols in received.values())
+        received = network.exchange_window_packed({}, window_rounds=4, phase="simulation")
+        assert all(planes == (0, 0) for planes in received.values())
         assert network.stats.transmissions == 0
 
     def test_rejects_unknown_link_keys(self):
         """Messages keyed on non-edges used to be silently dropped; now they raise."""
         network = NoisyNetwork(line_topology(3))
         with pytest.raises(ValueError, match="unknown link"):
-            network.exchange_window({(0, 2): [1]}, window_rounds=1, phase="simulation")
+            network.exchange_window_packed({(0, 2): (1, 1)}, window_rounds=1, phase="simulation")
         # nothing was transmitted and the clock did not move
         assert network.stats.transmissions == 0
         assert network.current_round == 0
@@ -120,14 +131,20 @@ class TestExchangeWindow:
             network.exchange_window_per_slot({(2, 0): [1]}, window_rounds=1, phase="simulation")
 
     def test_rejects_invalid_symbols_in_messages(self):
+        """A plane pair can only encode 0, 1 and silence: a bit outside the
+        present mask is the one malformed message, and the per-slot path
+        rejects non-symbols."""
         network = NoisyNetwork(line_topology(3))
+        with pytest.raises(ValueError, match="sets bits outside its present mask"):
+            network.exchange_window_packed({(0, 1): (0b10, 0b01)}, window_rounds=2, phase="simulation")
         with pytest.raises(ValueError, match="invalid channel symbol"):
-            network.exchange_window({(0, 1): [7]}, window_rounds=1, phase="simulation")
+            network.exchange_window_per_slot({(0, 1): [7]}, window_rounds=1, phase="simulation")
+        assert network.current_round == 0
 
     def test_rejects_notify_override_on_inherited_native_corrupt_window(self):
-        """Subclassing a stock adversary's corrupt_window past a notify hook
-        would silently skip notifications on the batched path — the network
-        refuses the pairing at construction time."""
+        """Subclassing a stock adversary's native packed kernel past a notify
+        hook would silently skip notifications on the packed path — the
+        network refuses the pairing at construction time."""
 
         class WatchingRandomNoise(RandomNoiseAdversary):
             def notify_delivery(self, ctx, sent, received):
@@ -140,49 +157,104 @@ class TestExchangeWindow:
             )
 
         class RepairedWatchingRandomNoise(WatchingRandomNoise):
-            corrupt_window = Adversary.corrupt_window  # restore the fallback
+            corrupt_window_packed = Adversary.corrupt_window_packed  # restore the fallback
 
         NoisyNetwork(
             line_topology(3),
             adversary=RepairedWatchingRandomNoise(corruption_probability=0.1, seed=0),
         )
 
+    def test_rejects_notify_override_past_a_list_kernel_behind_the_packed_fallback(self):
+        """A third-party list-valued ``corrupt_window`` is what the base packed
+        fallback runs, so inheriting it past a notify hook is the same hazard."""
+
+        class ListKernelAdversary(Adversary):
+            may_insert = False
+
+            def corrupt(self, ctx, sent):
+                return sent
+
+            def corrupt_window(self, ctx, symbols):
+                return list(symbols)  # never notifies
+
+        class WatchingListKernel(ListKernelAdversary):
+            def notify_delivery(self, ctx, sent, received):
+                pass
+
+        with pytest.raises(ValueError) as excinfo:
+            NoisyNetwork(line_topology(3), adversary=WatchingListKernel())
+        assert str(excinfo.value) == (
+            "WatchingListKernel overrides notify_delivery but inherits corrupt_window "
+            "from ListKernelAdversary, whose window kernel never notifies: override "
+            "corrupt_window too, or restore the per-slot fallback with "
+            "`corrupt_window = Adversary.corrupt_window`"
+        )
+
+        class RepairedWatchingListKernel(WatchingListKernel):
+            corrupt_window = Adversary.corrupt_window
+
+        class ListKernelAboveNotify(Adversary):
+            may_insert = False
+
+            def corrupt(self, ctx, sent):
+                return sent
+
+            def notify_delivery(self, ctx, sent, received):
+                pass
+
+            def corrupt_window(self, ctx, symbols):
+                return list(symbols)  # written alongside the notify hook
+
+        NoisyNetwork(line_topology(3), adversary=RepairedWatchingListKernel())
+        NoisyNetwork(line_topology(3), adversary=ListKernelAboveNotify())
+
     def test_adversary_cannot_mutate_the_sent_record(self):
-        """The window reaches the adversary as an immutable tuple, so in-place
-        mutation (which would corrupt the accounting's sent record) fails loudly."""
+        """The packed fallback hands the list kernel an immutable tuple, so
+        in-place mutation (which would corrupt the accounting's sent record)
+        fails loudly."""
 
         class InPlaceAdversary(NoiselessAdversary):
+            corrupt_window_packed = Adversary.corrupt_window_packed
+
             def corrupt_window(self, ctx, symbols):
                 symbols[0] = 1 - symbols[0]  # type: ignore[index]
                 return list(symbols)
 
         network = NoisyNetwork(line_topology(3), adversary=InPlaceAdversary())
         with pytest.raises(TypeError):
-            network.exchange_window({(0, 1): [1]}, window_rounds=1, phase="simulation")
+            network.exchange_window_packed({(0, 1): (1, 1)}, window_rounds=1, phase="simulation")
 
     def test_adversary_returning_its_input_still_accounts_correctly(self):
-        """Returning the input tuple unchanged is normalised to a clean list."""
+        """A list kernel returning the input tuple unchanged is repacked into
+        clean planes."""
 
         class EchoAdversary(NoiselessAdversary):
+            corrupt_window_packed = Adversary.corrupt_window_packed
+
             def corrupt_window(self, ctx, symbols):
                 return symbols
 
         network = NoisyNetwork(line_topology(3), adversary=EchoAdversary())
-        received = network.exchange_window({(0, 1): [1, 0]}, window_rounds=2, phase="simulation")
-        assert received[(0, 1)] == [1, 0]
-        assert isinstance(received[(0, 1)], list)
+        received = network.exchange_window_packed(
+            {(0, 1): (0b01, 0b11)}, window_rounds=2, phase="simulation"
+        )
+        assert received[(0, 1)] == (0b01, 0b11)
         assert network.stats.transmissions == 2
         assert network.stats.corruptions == 0
 
     def test_per_slot_path_matches_on_simple_window(self):
-        batched = NoisyNetwork(line_topology(3))
+        packed = NoisyNetwork(line_topology(3))
         per_slot = NoisyNetwork(line_topology(3))
         messages = {(0, 1): [1, 0, None], (1, 2): [1]}
-        a = batched.exchange_window(messages, 3, phase="simulation")
+        a = packed.exchange_window_packed(
+            {link: pack_symbols(symbols) for link, symbols in messages.items()},
+            3,
+            phase="simulation",
+        )
         b = per_slot.exchange_window_per_slot(messages, 3, phase="simulation")
-        assert a == b
-        assert batched.stats == per_slot.stats
-        assert batched.current_round == per_slot.current_round
+        assert a == {link: pack_symbols(symbols) for link, symbols in b.items()}
+        assert packed.stats == per_slot.stats
+        assert packed.current_round == per_slot.current_round
 
 
 # --------------------------------------------------------------------------
@@ -299,98 +371,67 @@ STOCK_ADVERSARIES = {
 _PHASES = ("randomness_exchange", "meeting_points", "flag_passing", "simulation", "rewind")
 
 
-@pytest.mark.parametrize("adversary_name", sorted(STOCK_ADVERSARIES))
-def test_batched_path_is_bit_identical_to_per_slot_path(adversary_name):
-    """The tentpole guarantee: same deliveries, stats and budgets on both paths."""
+def _assert_packed_matches_per_slot(adversary_name, seed_base, sparse_rate):
+    """Drive identical sessions through the packed path and the per-slot
+    oracle; deliveries, result shape, stats, clock and adversary state must
+    match exactly."""
     builder = STOCK_ADVERSARIES[adversary_name]
     for trial in range(8):
-        layout_rng = make_rng(1000 * trial + 7)
+        layout_rng = make_rng(seed_base * trial + 7)
         graph = _random_graph(layout_rng)
         # Two adversaries built identically (same seeds, same patterns): one
         # per path.  The pattern-drawing RNG must be forked per build so both
         # instances see the same draws.
         pattern_seed = layout_rng.randint(0, 2**31)
-        batched_adversary = builder(trial, graph, make_rng(pattern_seed))
+        packed_adversary = builder(trial, graph, make_rng(pattern_seed))
         per_slot_adversary = builder(trial, graph, make_rng(pattern_seed))
 
-        batched = NoisyNetwork(graph, adversary=batched_adversary)
+        packed = NoisyNetwork(graph, adversary=packed_adversary)
         per_slot = NoisyNetwork(graph, adversary=per_slot_adversary)
 
         # A short session of consecutive windows with varying widths/phases,
         # driven by one traffic RNG so both paths see identical messages.
-        traffic_seed = layout_rng.randint(0, 2**31)
-        traffic_rng = make_rng(traffic_seed)
+        traffic_rng = make_rng(layout_rng.randint(0, 2**31))
         for step in range(5):
             window_rounds = traffic_rng.choice([0, 1, 1, 2, 5, 9])
             phase = traffic_rng.choice(_PHASES)
-            iteration = step
+            sparse = traffic_rng.random() < sparse_rate
             messages = _random_messages(traffic_rng, graph, window_rounds)
-            delivered_batched = batched.exchange_window(messages, window_rounds, phase, iteration)
+            # Ragged windows pad with silence on both paths.
+            delivered_packed = packed.exchange_window_packed(
+                {link: pack_symbols(symbols) for link, symbols in messages.items()},
+                window_rounds, phase, step, sparse=sparse,
+            )
             delivered_per_slot = per_slot.exchange_window_per_slot(
-                messages, window_rounds, phase, iteration
+                messages, window_rounds, phase, step, sparse=sparse
             )
-            assert delivered_batched == delivered_per_slot, (
-                f"{adversary_name}: deliveries diverged (trial {trial}, step {step})"
-            )
-        assert batched.stats == per_slot.stats, f"{adversary_name}: stats diverged (trial {trial})"
-        assert batched.current_round == per_slot.current_round
-        assert _adversary_state(batched_adversary) == _adversary_state(per_slot_adversary), (
+            assert set(delivered_packed) == set(delivered_per_slot)
+            for link, (bits, present) in delivered_packed.items():
+                assert bits & ~present == 0, f"{adversary_name}: plane invariant broken"
+                assert unpack_symbols(bits, present, window_rounds) == delivered_per_slot[link], (
+                    f"{adversary_name}: deliveries diverged (trial {trial}, step {step}, {link})"
+                )
+        assert packed.stats == per_slot.stats, f"{adversary_name}: stats diverged (trial {trial})"
+        assert packed.current_round == per_slot.current_round
+        assert _adversary_state(packed_adversary) == _adversary_state(per_slot_adversary), (
             f"{adversary_name}: adversary state diverged (trial {trial})"
         )
 
 
 @pytest.mark.parametrize("adversary_name", sorted(STOCK_ADVERSARIES))
+def test_batched_path_is_bit_identical_to_per_slot_path(adversary_name):
+    """The tentpole guarantee: one kernel call per link and window (the packed
+    path, dense dispatches) gives the same deliveries, stats and budgets as
+    one ``transmit`` per slot."""
+    _assert_packed_matches_per_slot(adversary_name, seed_base=1000, sparse_rate=0.0)
+
+
+@pytest.mark.parametrize("adversary_name", sorted(STOCK_ADVERSARIES))
 def test_packed_path_is_bit_identical_to_symbol_path(adversary_name):
-    """The packed-plane guarantee: exchange_window_packed delivers the same
-    corruption mask, stats, clock and adversary end state as exchange_window
-    for every stock adversary (the pin exchange_window_packed's docstring
-    promises)."""
-    from repro.utils.bitstring import pack_symbols, unpack_symbols
-
-    builder = STOCK_ADVERSARIES[adversary_name]
-    for trial in range(8):
-        layout_rng = make_rng(9000 * trial + 13)
-        graph = _random_graph(layout_rng)
-        pattern_seed = layout_rng.randint(0, 2**31)
-        packed_adversary = builder(trial, graph, make_rng(pattern_seed))
-        symbol_adversary = builder(trial, graph, make_rng(pattern_seed))
-
-        packed_network = NoisyNetwork(graph, adversary=packed_adversary)
-        symbol_network = NoisyNetwork(graph, adversary=symbol_adversary)
-
-        traffic_seed = layout_rng.randint(0, 2**31)
-        traffic_rng = make_rng(traffic_seed)
-        for step in range(5):
-            window_rounds = traffic_rng.choice([0, 1, 1, 2, 5, 9])
-            phase = traffic_rng.choice(_PHASES)
-            sparse = traffic_rng.random() < 0.3
-            messages = _random_messages(traffic_rng, graph, window_rounds)
-            # The packed caller sends plane pairs; ragged windows pad with
-            # silence exactly like exchange_window does internally.
-            packed_messages = {
-                link: pack_symbols(symbols) for link, symbols in messages.items()
-            }
-            delivered_packed = packed_network.exchange_window_packed(
-                packed_messages, window_rounds, phase, step, sparse=sparse
-            )
-            delivered_symbols = symbol_network.exchange_window(
-                messages, window_rounds, phase, step, sparse=sparse
-            )
-            assert set(delivered_packed) == set(delivered_symbols)
-            for link, (bits, present) in delivered_packed.items():
-                assert bits & ~present == 0, f"{adversary_name}: plane invariant broken"
-                assert unpack_symbols(bits, present, window_rounds) == list(
-                    delivered_symbols[link]
-                ), f"{adversary_name}: deliveries diverged (trial {trial}, step {step}, {link})"
-        assert packed_network.stats == symbol_network.stats, (
-            f"{adversary_name}: stats diverged (trial {trial})"
-        )
-        assert packed_network.current_round == symbol_network.current_round
-        assert _adversary_state(packed_adversary) == _adversary_state(symbol_adversary), (
-            f"{adversary_name}: adversary state diverged (trial {trial})"
-        )
-        assert packed_network.packed_dispatches == 5
-        assert symbol_network.packed_dispatches == 0
+    """The same guarantee with sparse dispatches mixed in: the packed path's
+    result shape (silent links omitted for non-inserting adversaries) matches
+    the per-slot symbol path's too."""
+    _assert_packed_matches_per_slot(adversary_name, seed_base=9000, sparse_rate=0.3)
 
 
 class TestDispatchCounters:
@@ -402,9 +443,9 @@ class TestDispatchCounters:
         graph = line_topology(3)
         network = NoisyNetwork(graph, adversary=NoiselessAdversary())
         # sparse permitted + non-inserting adversary → the sparse fast path
-        network.exchange_window({(0, 1): [1, 0]}, 2, "simulation", sparse=True)
+        network.exchange_window_packed({(0, 1): (0b01, 0b11)}, 2, "simulation", sparse=True)
         assert (network.windows_exchanged, network.sparse_dispatches, network.dense_dispatches) == (1, 1, 0)
-        network.exchange_window({(0, 1): [1, 0]}, 2, "simulation")  # sparse not requested
+        network.exchange_window_packed({(0, 1): (0b01, 0b11)}, 2, "simulation")  # sparse not requested
         assert (network.sparse_dispatches, network.dense_dispatches) == (1, 1)
         inserting = NoisyNetwork(
             graph,
@@ -413,7 +454,7 @@ class TestDispatchCounters:
             ),
         )
         # sparse requested but the adversary may insert → dense anyway
-        inserting.exchange_window({(0, 1): [1, 0]}, 2, "simulation", sparse=True)
+        inserting.exchange_window_packed({(0, 1): (0b01, 0b11)}, 2, "simulation", sparse=True)
         assert (inserting.sparse_dispatches, inserting.dense_dispatches) == (0, 1)
 
     def test_per_slot_path_counts_dense(self):
@@ -426,12 +467,12 @@ class TestDispatchCounters:
         from repro.obs import MetricsRegistry, Tracer, use_obs
 
         graph = line_topology(4)
-        messages = {(0, 1): [1, 0, 1], (2, 1): [0, 1, 0], (3, 2): [1, 1, 1]}
+        messages = {(0, 1): (0b101, 0b111), (2, 1): (0b010, 0b111), (3, 2): (0b111, 0b111)}
 
         def drive(network):
             out = []
             for phase in ("meeting_points", "simulation", "rewind"):
-                out.append(network.exchange_window(messages, 3, phase))
+                out.append(network.exchange_window_packed(messages, 3, phase))
             return out
 
         plain = NoisyNetwork(graph, adversary=RandomNoiseAdversary(corruption_probability=0.2, seed=9))
@@ -457,7 +498,7 @@ class TestGuardMessageText:
         network = NoisyNetwork(line_topology(3))
         expected = "message keyed on unknown link (0, 2): not a directed edge of the network"
         with pytest.raises(ValueError) as excinfo:
-            network.exchange_window({(0, 2): [1]}, window_rounds=1, phase="simulation")
+            network.exchange_window_packed({(0, 2): (1, 1)}, window_rounds=1, phase="simulation")
         assert str(excinfo.value) == expected
         with pytest.raises(ValueError) as excinfo:
             network.exchange_window_per_slot({(0, 2): [1]}, window_rounds=1, phase="simulation")
@@ -474,10 +515,10 @@ class TestGuardMessageText:
                 adversary=WatchingBurst(start_round=0, end_round=5, max_corruptions=2, seed=0),
             )
         assert str(excinfo.value) == (
-            "WatchingBurst overrides notify_delivery but inherits corrupt_window "
-            "from BurstAdversary, whose batch path never notifies: override "
-            "corrupt_window too, or restore the per-slot fallback with "
-            "`corrupt_window = Adversary.corrupt_window`"
+            "WatchingBurst overrides notify_delivery but inherits corrupt_window_packed "
+            "from BurstAdversary, whose window kernel never notifies: override "
+            "corrupt_window_packed too, or restore the per-slot fallback with "
+            "`corrupt_window_packed = Adversary.corrupt_window_packed`"
         )
 
 
@@ -549,7 +590,7 @@ class TestPhaseExchange:
     @pytest.mark.parametrize("kind", ["noiseless", "additive", "fixing"])
     def test_matches_per_round_dispatch(self, kind):
         """Deliveries, stats and clock of one phase dispatch equal one
-        ``exchange_window`` per round, insertions on idle links included."""
+        ``exchange_window_packed`` per round, insertions on idle links included."""
         graph = random_connected_topology(6, 0.5, seed=2)
         rng = make_rng(11)
         rounds = 40
@@ -576,10 +617,10 @@ class TestPhaseExchange:
         reference = NoisyNetwork(graph, adversary=build())
         expected = []
         for sends in plan:
-            window = reference.exchange_window(
-                {link: [symbol] for link, symbol in sends.items()}, 1, "simulation", 0
+            window = reference.exchange_window_packed(
+                {link: (symbol, 1) for link, symbol in sends.items()}, 1, "simulation", 0
             )
-            expected.append({link: got[0] for link, got in window.items() if got[0] is not None})
+            expected.append({link: bits for link, (bits, present) in window.items() if present})
 
         network = NoisyNetwork(graph, adversary=build())
         phase = network.exchange_phase(rounds, "simulation", 0)
