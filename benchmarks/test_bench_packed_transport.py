@@ -11,9 +11,9 @@ at the trial's nominal noise fraction.
 
 Shape we gate: the packed exchange must be at least **5× faster** than the
 single-slot reference ``exchange_window_per_slot`` (one ``transmit`` per
-slot), while producing bit-identical ``ChannelStats`` — the equivalence
-itself is pinned much harder by ``tests/test_transport.py`` and
-``tests/test_phase_merge_fuzz.py``.  Plane packing on the sender side is
+slot) in the median of alternating replay pairs, while every pair produces
+bit-identical ``ChannelStats`` — the equivalence itself is pinned much
+harder by ``tests/test_transport.py`` and ``tests/test_phase_merge_fuzz.py``.  Plane packing on the sender side is
 *inside* the timed region: the gate covers the end-to-end cost of choosing
 the packed representation, not just the kernel.  The measurement is recorded
 in ``.bench-runs`` like every other benchmark, so ``check_perf_regression.py``
@@ -39,6 +39,10 @@ _ITERATIONS = 12
 #: iteration, and the fraction of links that carry traffic in each.
 _THIN_WINDOWS = 10
 _THIN_DENSITY = 0.3
+#: Alternating (per-slot, packed) replay pairs; the gate reads the median of
+#: their ratios, so a scheduler stall on a shared runner moves one pair, not
+#: the verdict.
+_PAIRS = 7
 
 
 def _workload():
@@ -130,33 +134,32 @@ def test_packed_transport_is_at_least_five_times_as_fast(benchmark, run_once):
     """The packed-transport gate: ≥5× over per-slot dispatch, same stats."""
     graph, pattern, dense, thin = _workload()
 
-    def measure(runner):
-        # Best of two runs per path: a scheduling spike on a shared CI runner
-        # must hit both attempts to move the measurement.
-        first_seconds, first_network = runner(graph, pattern, dense, thin)
-        second_seconds, second_network = runner(graph, pattern, dense, thin)
-        assert vars(first_network.stats) == vars(second_network.stats)
-        return min(first_seconds, second_seconds), first_network
-
     def compare():
-        reference_seconds, reference_network = measure(_per_slot_seconds)
-        packed_seconds, packed_network = measure(_packed_seconds)
-        # The two dispatch shapes must account identically before their
-        # timings are comparable at all.
-        assert vars(packed_network.stats) == vars(reference_network.stats)
-        assert packed_network.current_round == reference_network.current_round
-        assert packed_network.transmit_calls == 0
-        assert reference_network.transmit_calls > 0
-        return reference_seconds, packed_seconds
+        ratios = []
+        for _ in range(_PAIRS):
+            reference_seconds, reference_network = _per_slot_seconds(graph, pattern, dense, thin)
+            packed_seconds, packed_network = _packed_seconds(graph, pattern, dense, thin)
+            # The two dispatch shapes must account identically before their
+            # timings are comparable at all.
+            assert vars(packed_network.stats) == vars(reference_network.stats)
+            assert packed_network.current_round == reference_network.current_round
+            assert packed_network.transmit_calls == 0
+            assert reference_network.transmit_calls > 0
+            ratios.append((reference_seconds / packed_seconds, reference_seconds, packed_seconds))
+        return sorted(ratios)
 
-    reference_seconds, packed_seconds = run_once(benchmark, compare)
+    ratios = run_once(benchmark, compare)
+    speedup, reference_seconds, packed_seconds = ratios[len(ratios) // 2]
     benchmark.extra_info["reference_seconds"] = round(reference_seconds, 6)
     benchmark.extra_info["packed_seconds"] = round(packed_seconds, 6)
-    benchmark.extra_info["speedup"] = round(reference_seconds / packed_seconds, 2)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    benchmark.extra_info["min_pair_speedup"] = round(ratios[0][0], 2)
+    benchmark.extra_info["pairs"] = _PAIRS
     benchmark.extra_info["dense_window_rounds"] = _DENSE_WINDOW
     benchmark.extra_info["iterations"] = _ITERATIONS
     benchmark.extra_info["directed_links"] = len(graph.directed_edges())
-    assert reference_seconds >= 5 * packed_seconds, (
-        f"packed transport only {reference_seconds / packed_seconds:.2f}x faster "
-        f"(per-slot {reference_seconds * 1e3:.1f} ms, packed {packed_seconds * 1e3:.1f} ms)"
+    assert speedup >= 5, (
+        f"packed transport only {speedup:.2f}x faster in the median of {_PAIRS} pairs "
+        f"(per-slot {reference_seconds * 1e3:.1f} ms, packed {packed_seconds * 1e3:.1f} ms; "
+        f"pair ratios {', '.join(f'{ratio:.2f}' for ratio, _, _ in ratios)})"
     )

@@ -13,10 +13,10 @@ dummy chunks").
 
 ``ChunkedProtocol`` also precomputes everything the simulation phase needs:
 
-* the per-chunk round list and per-round scheduled links,
-* the per-chunk *link slots* — for every undirected link, the ordered list of
+* the per-chunk *link slots* — for every undirected link, the ordered tuple of
   scheduled transmissions inside the chunk (this defines the canonical "link
-  view" both endpoints hash and compare), and
+  view" both endpoints hash and compare, and is the only schedule the
+  simulation phase reads), and
 * the maximum number of rounds of any chunk (the fixed length of the
   simulation-phase window).
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.network.graph import DirectedEdge, Graph, edge_key
+from repro.network.graph import Graph, edge_key
 from repro.protocols.base import Protocol
 
 
@@ -68,9 +68,7 @@ class ChunkedProtocol:
         self.schedule = protocol.schedule()
         self.chunks: List[Chunk] = self._build_chunks()
         self.num_real_chunks = sum(1 for chunk in self.chunks if not chunk.is_padding)
-        self._chunk_round_links: Dict[int, List[List[DirectedEdge]]] = {}
-        self._link_slots: Dict[Tuple[int, Tuple[int, int]], List[LinkSlot]] = {}
-        self._precompute()
+        self._link_slots: Dict[Tuple[int, Tuple[int, int]], Tuple[LinkSlot, ...]] = self._precompute()
 
     # -- construction ---------------------------------------------------------
 
@@ -96,18 +94,15 @@ class ChunkedProtocol:
             chunks.append(Chunk(index=len(chunks) + 1, round_indices=(), is_padding=True))
         return chunks
 
-    def _precompute(self) -> None:
+    def _precompute(self) -> Dict[Tuple[int, Tuple[int, int]], Tuple[LinkSlot, ...]]:
+        slots: Dict[Tuple[int, Tuple[int, int]], List[LinkSlot]] = {}
         for chunk in self.chunks:
-            per_round: List[List[DirectedEdge]] = []
             for offset, round_index in enumerate(chunk.round_indices):
-                links = list(self.schedule[round_index])
-                per_round.append(links)
-                for sender, receiver in links:
-                    key = (chunk.index, edge_key(sender, receiver))
-                    self._link_slots.setdefault(key, []).append(
+                for sender, receiver in self.schedule[round_index]:
+                    slots.setdefault((chunk.index, edge_key(sender, receiver)), []).append(
                         LinkSlot(offset=offset, round_index=round_index, sender=sender, receiver=receiver)
                     )
-            self._chunk_round_links[chunk.index] = per_round
+        return {key: tuple(link_slots) for key, link_slots in slots.items()}
 
     # -- queries ----------------------------------------------------------------
 
@@ -126,15 +121,9 @@ class ChunkedProtocol:
             return self.chunks[chunk_index - 1]
         return Chunk(index=chunk_index, round_indices=(), is_padding=True)
 
-    def chunk_round_links(self, chunk_index: int) -> List[List[DirectedEdge]]:
-        """Per round offset, the directed links scheduled in that round of the chunk."""
-        if chunk_index <= len(self.chunks):
-            return self._chunk_round_links[chunk_index]
-        return []
-
-    def link_slots(self, chunk_index: int, u: int, v: int) -> List[LinkSlot]:
+    def link_slots(self, chunk_index: int, u: int, v: int) -> Tuple[LinkSlot, ...]:
         """Ordered transmissions on link {u, v} within the chunk (both directions)."""
-        return list(self._link_slots.get((chunk_index, edge_key(u, v)), []))
+        return self._link_slots.get((chunk_index, edge_key(u, v)), ())
 
     def max_chunk_rounds(self) -> int:
         """The fixed length of the simulation window (longest chunk, in rounds)."""
@@ -142,7 +131,7 @@ class ChunkedProtocol:
 
     def chunk_bits(self, chunk_index: int) -> int:
         """Number of transmissions scheduled inside the chunk."""
-        return sum(len(links) for links in self.chunk_round_links(chunk_index))
+        return sum(len(self.schedule[r]) for r in self.chunk(chunk_index).round_indices)
 
     def communication_complexity(self) -> int:
         """CC(Π) — communication of the underlying protocol."""

@@ -334,12 +334,14 @@ class InteractiveCodingSimulator:
             self._randomness_agreed = {edge: True for edge in self.graph.edges}
             return sources
         exchange_rng = fork(self.seed, "randomness-exchange")
-        report = run_randomness_exchange(
-            self.graph,
-            self.network,
-            exchange_rng,
-            field_degree=self.scheme.small_bias_field_degree,
-        )
+        tracer = self._obs.tracer
+        with tracer.span("randomness_exchange") if tracer is not None else nullcontext():
+            report = run_randomness_exchange(
+                self.graph,
+                self.network,
+                exchange_rng,
+                field_degree=self.scheme.small_bias_field_degree,
+            )
         self._randomness_agreed = dict(report.agreed)
         return report.seed_sources
 
@@ -480,6 +482,18 @@ class InteractiveCodingSimulator:
     # ------------------------------------------------- phase (iii): simulation --
 
     def _simulation_phase(self, iteration: int) -> None:
+        """Phase (iii): every party simulates one chunk of Π per active link.
+
+        Each active link's chunk is walked once through
+        :meth:`~repro.core.chunking.ChunkedProtocol.link_slots`, filing every
+        slot under its round offset as a send or a listen together with its
+        position in the link view.  The window then runs offset by offset:
+        sends ask the party's protocol logic for the bit, listens decode the
+        delivered symbol into the view, the record's receptions and the
+        party's received map.  A round in which nobody sends and the
+        adversary cannot insert is skipped without an exchange, so its listen
+        slots keep ``None`` in the view and record no reception.
+        """
         # Round 0: parties that should not simulate send ⊥ (encoded as a 1) to
         # every neighbour; everyone listens.
         bot_messages: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -495,31 +509,38 @@ class InteractiveCodingSimulator:
             if bits & 1:  # bits lie inside present: a delivered 1
                 bot_from[receiver].add(sender)
 
-        # Which links each party simulates this phase, and at which chunk index.
-        active: Dict[int, Dict[int, int]] = {}
+        # File every slot of every simulated (party, neighbour, chunk) under
+        # its round offset, in party then neighbour order.
+        window = self.chunked.max_chunk_rounds()
+        sends: List[list] = [[] for _ in range(window)]
+        listens: List[list] = [[] for _ in range(window)]
+        simulated: List[Tuple[LinkTranscript, int, List[Symbol], list]] = []
         for runtime in self.runtimes.values():
             if runtime.net_correct != 1:
-                active[runtime.party] = {}
                 continue
-            active[runtime.party] = {
-                neighbor: len(runtime.transcripts[neighbor]) + 1
-                for neighbor in runtime.neighbors()
-                if neighbor not in bot_from[runtime.party]
-            }
-
-        # Per-party working state for the chunk being simulated.
-        workspaces: Dict[int, Dict[str, object]] = {}
-        for party, links in active.items():
-            if not links:
+            party = runtime.party
+            neighbors = [v for v in runtime.neighbors() if v not in bot_from[party]]
+            if not neighbors:
                 continue
-            workspaces[party] = {
-                "received_map": self.runtimes[party].build_received_map(),
-                "sent": {neighbor: {} for neighbor in links},
-                "recv": {neighbor: {} for neighbor in links},
-            }
+            received_map = runtime.build_received_map()
+            for neighbor in neighbors:
+                transcript = runtime.transcripts[neighbor]
+                chunk_index = len(transcript) + 1
+                slots = self.chunked.link_slots(chunk_index, party, neighbor)
+                view: List[Symbol] = [None] * len(slots)
+                heard: List[Tuple[int, Symbol]] = []
+                for position, slot in enumerate(slots):
+                    if slot.sender == party:
+                        sends[slot.offset].append(
+                            (runtime.logic, party, neighbor, slot.round_index, view, position, received_map)
+                        )
+                    else:
+                        listens[slot.offset].append(
+                            ((neighbor, party), slot.round_index, view, position, heard, received_map)
+                        )
+                simulated.append((transcript, chunk_index, view, heard))
 
-        window = self.chunked.max_chunk_rounds()
-        if not workspaces and not self.adversary.may_insert:
+        if not simulated and not self.adversary.may_insert:
             # No party simulates anything this phase and the adversary cannot
             # insert: every one of the window's rounds is provably silent, so
             # the whole span collapses into one clock advancement (the
@@ -530,22 +551,10 @@ class InteractiveCodingSimulator:
             return
         for offset in range(window):
             messages: Dict[Tuple[int, int], Tuple[int, int]] = {}
-            for party, links in active.items():
-                if not links:
-                    continue
-                workspace = workspaces[party]
-                for neighbor, chunk_index in links.items():
-                    chunk = self.chunked.chunk(chunk_index)
-                    if offset >= chunk.num_rounds:
-                        continue
-                    round_index = chunk.round_indices[offset]
-                    for sender, receiver in self.chunked.chunk_round_links(chunk_index)[offset]:
-                        if sender == party and receiver == neighbor:
-                            bit = self.runtimes[party].logic.send_bit(
-                                round_index, neighbor, workspace["received_map"]
-                            )
-                            messages[(party, neighbor)] = (bit, 1)
-                            workspace["sent"][neighbor][round_index] = bit
+            for logic, party, neighbor, round_index, view, position, received_map in sends[offset]:
+                bit = logic.send_bit(round_index, neighbor, received_map)
+                messages[(party, neighbor)] = (bit, 1)
+                view[position] = bit
             if not messages and not self.adversary.may_insert:
                 # Nothing scheduled anywhere this round; skip the exchange but
                 # keep the clock honest.
@@ -555,40 +564,14 @@ class InteractiveCodingSimulator:
             delivered = self.network.exchange_window_packed(
                 messages, 1, "simulation", iteration, sparse=True
             )
-            for party, links in active.items():
-                if not links:
-                    continue
-                workspace = workspaces[party]
-                for neighbor, chunk_index in links.items():
-                    chunk = self.chunked.chunk(chunk_index)
-                    if offset >= chunk.num_rounds:
-                        continue
-                    round_index = chunk.round_indices[offset]
-                    for sender, receiver in self.chunked.chunk_round_links(chunk_index)[offset]:
-                        if sender == neighbor and receiver == party:
-                            symbol = self._delivered_symbol(delivered, (neighbor, party))
-                            workspace["recv"][neighbor][round_index] = symbol
-                            workspace["received_map"][(round_index, neighbor)] = symbol_to_bit(symbol)
+            for link, round_index, view, position, heard, received_map in listens[offset]:
+                symbol = self._delivered_symbol(delivered, link)
+                view[position] = symbol
+                heard.append((round_index, symbol))
+                received_map[(round_index, link[0])] = symbol_to_bit(symbol)
 
-        # Append the freshly simulated chunk records.
-        for party, links in active.items():
-            if not links:
-                continue
-            workspace = workspaces[party]
-            runtime = self.runtimes[party]
-            for neighbor, chunk_index in links.items():
-                view: List[Symbol] = []
-                for slot in self.chunked.link_slots(chunk_index, party, neighbor):
-                    if slot.sender == party:
-                        view.append(workspace["sent"][neighbor].get(slot.round_index))
-                    else:
-                        view.append(workspace["recv"][neighbor].get(slot.round_index))
-                record = ChunkRecord(
-                    chunk_index=chunk_index,
-                    link_view=tuple(view),
-                    received_by_round=tuple(sorted(workspace["recv"][neighbor].items())),
-                )
-                runtime.transcripts[neighbor].append(record)
+        for transcript, chunk_index, view, heard in simulated:
+            transcript.append(ChunkRecord(chunk_index, tuple(view), tuple(heard)))
 
     # --------------------------------------------------- phase (iv): rewind --
 
@@ -691,14 +674,10 @@ class InteractiveCodingSimulator:
         return True
 
     def _extract_outputs(self) -> Dict[int, object]:
-        outputs: Dict[int, object] = {}
-        max_chunk = self.chunked.num_real_chunks
-        for party, runtime in self.runtimes.items():
-            received: Dict[Tuple[int, int], int] = {}
-            for transcript in runtime.transcripts.values():
-                received.update(transcript.received_map(max_chunk_index=max_chunk))
-            outputs[party] = runtime.logic.compute_output(received)
-        return outputs
+        return {
+            party: runtime.logic.compute_output(runtime.build_received_map())
+            for party, runtime in self.runtimes.items()
+        }
 
     def _build_metrics(
         self,

@@ -17,10 +17,9 @@ received so far.
 Serialisation is kept *packed and incremental*: every appended chunk is
 serialised exactly once into a growing byte buffer, and the per-prefix
 values the meeting-points hashing consumes (BLAKE2b fingerprints, packed raw
-integers) are cached per prefix length.  ``records`` stays a public mutable
-list for tests and tooling; every cached accessor revalidates the cache
-against the live list (an identity scan) before serving, so direct mutation
-is safe — it just pays a rebuild.
+integers) are cached per prefix length.  ``records`` is owned by the
+transcript: read it freely, but mutate it only through :meth:`append` and
+the ``truncate_*`` methods, which keep the cache in step.
 """
 
 from __future__ import annotations
@@ -66,12 +65,11 @@ class LinkTranscript:
     def __init__(self, owner: int, neighbor: int) -> None:
         self.owner = owner
         self.neighbor = neighbor
+        #: The simulated chunks, oldest first.  Mutate only through
+        #: :meth:`append` and ``truncate_*``.
         self.records: List[ChunkRecord] = []
-        # Incremental serialisation cache: one bytes fragment per record, the
-        # concatenated buffer, cumulative byte offsets, and the id() of each
-        # record the cache was built from (the mutation guard).
-        self._cache_ids: List[int] = []
-        self._cache_parts: List[bytes] = []
+        # Incremental serialisation cache: the concatenated serialised records
+        # and the cumulative byte offset after each one.
         self._cache_offsets: List[int] = [0]
         self._cache_buffer = bytearray()
         #: Cached per-prefix hash inputs, keyed by ("fp" | "raw", num_chunks).
@@ -87,71 +85,37 @@ class LinkTranscript:
         return len(self.records)
 
     def append(self, record: ChunkRecord) -> None:
+        # Prefixes shorter than the new length are unchanged, so the cached
+        # per-prefix values all stay valid.
         self.records.append(record)
-        if len(self._cache_ids) == len(self.records) - 1:
-            # The cache was current before the append: extend it in place.
-            # (Prefixes shorter than the new length are unchanged, so the
-            # cached per-prefix values all stay valid.)
-            self._cache_append(record)
+        self._cache_buffer += record.serialize().encode("ascii")
+        self._cache_offsets.append(len(self._cache_buffer))
 
     def truncate_to(self, num_chunks: int) -> int:
         """Keep only the first ``num_chunks`` chunks; returns how many were dropped."""
         if num_chunks < 0:
             raise ValueError("cannot truncate to a negative length")
         dropped = max(0, len(self.records) - num_chunks)
-        del self.records[num_chunks:]
-        if dropped and len(self._cache_ids) > len(self.records):
-            self._cache_truncate(len(self.records))
+        if dropped:
+            del self.records[num_chunks:]
+            del self._cache_offsets[num_chunks + 1:]
+            del self._cache_buffer[self._cache_offsets[num_chunks]:]
+            # A dropped prefix's cached value would go stale once other
+            # chunks are appended at that length.
+            values = self._prefix_values
+            if values:
+                for key in [key for key in values if key[1] > num_chunks]:
+                    del values[key]
         return dropped
 
     def truncate_last(self, count: int = 1) -> int:
         """Drop the last ``count`` chunks (no-op beyond the current length)."""
         return self.truncate_to(max(0, len(self.records) - count))
 
-    # -- serialisation cache --------------------------------------------------------
-
-    def _cache_append(self, record: ChunkRecord) -> None:
-        part = record.serialize().encode("ascii")
-        self._cache_ids.append(id(record))
-        self._cache_parts.append(part)
-        self._cache_buffer += part
-        self._cache_offsets.append(len(self._cache_buffer))
-
-    def _cache_truncate(self, num_chunks: int) -> None:
-        del self._cache_ids[num_chunks:]
-        del self._cache_parts[num_chunks:]
-        del self._cache_offsets[num_chunks + 1:]
-        del self._cache_buffer[self._cache_offsets[num_chunks]:]
-        values = self._prefix_values
-        if values:
-            for key in [key for key in values if key[1] > num_chunks]:
-                del values[key]
-
-    def _sync_cache(self) -> None:
-        """Revalidate the cache against the live ``records`` list.
-
-        ``records`` is public and tests mutate it directly; an identity scan
-        (cheap — one C-level list build and compare) detects any divergence
-        and rebuilds from the longest still-valid prefix.
-        """
-        records = self.records
-        ids = self._cache_ids
-        if len(ids) == len(records) and ids == [id(record) for record in records]:
-            return
-        keep = 0
-        for cached_id, record in zip(ids, records):
-            if cached_id != id(record):
-                break
-            keep += 1
-        self._cache_truncate(keep)
-        for record in records[keep:]:
-            self._cache_append(record)
-
     # -- serialization & comparison ------------------------------------------------------
 
     def serialize_prefix(self, num_chunks: Optional[int] = None) -> bytes:
         """Canonical byte serialisation of the first ``num_chunks`` chunks."""
-        self._sync_cache()
         if num_chunks is None:
             num_chunks = len(self.records)
         num_chunks = max(0, min(num_chunks, len(self.records)))
@@ -159,7 +123,6 @@ class LinkTranscript:
 
     def prefix_byte_length(self, num_chunks: int) -> int:
         """Byte length of :meth:`serialize_prefix` without materialising it."""
-        self._sync_cache()
         num_chunks = max(0, min(num_chunks, len(self.records)))
         return self._cache_offsets[num_chunks]
 
@@ -170,7 +133,6 @@ class LinkTranscript:
         the hot meeting-points path reads it from the per-prefix cache
         instead of re-serialising and re-hashing every consistency phase.
         """
-        self._sync_cache()
         num_chunks = max(0, min(num_chunks, len(self.records)))
         key = ("fp", num_chunks)
         value = self._prefix_values.get(key)
@@ -188,7 +150,6 @@ class LinkTranscript:
         ``bits_to_int(bytes_to_bits(...))`` packing (LSB-first within each
         byte, byte 0 lowest).
         """
-        self._sync_cache()
         num_chunks = max(0, min(num_chunks, len(self.records)))
         key = ("raw", num_chunks)
         value = self._prefix_values.get(key)
@@ -220,7 +181,7 @@ class LinkTranscript:
 
     # -- replay support -------------------------------------------------------------------
 
-    def received_map(self, max_chunk_index: Optional[int] = None) -> Dict[Tuple[int, int], int]:
+    def received_map(self) -> Dict[Tuple[int, int], int]:
         """Received bits keyed by ``(protocol round, neighbour)`` for protocol replay.
 
         Deletions (``None``) are filled with 0 — the surrounding machinery
@@ -229,8 +190,6 @@ class LinkTranscript:
         """
         out: Dict[Tuple[int, int], int] = {}
         for record in self.records:
-            if max_chunk_index is not None and record.chunk_index > max_chunk_index:
-                continue
             for round_index, symbol in record.received_by_round:
                 out[(round_index, self.neighbor)] = 0 if symbol is None else int(symbol)
         return out

@@ -202,3 +202,45 @@ class TestPackedTranscriptRoundTrip:
         assert transcript.prefix_raw(kept) == full[kept]
         serialized = transcript.serialize_prefix(kept)
         assert transcript.prefix_raw(kept) == int.from_bytes(serialized, "little")
+
+    @staticmethod
+    def _assert_cache_matches_fresh(transcript):
+        from repro.core.transcript import LinkTranscript
+
+        fresh = LinkTranscript(owner=0, neighbor=1)
+        for record in transcript.records:
+            fresh.append(record)
+        assert transcript.serialize_prefix() == fresh.serialize_prefix()
+        for prefix in range(len(transcript) + 2):
+            assert transcript.serialize_prefix(prefix) == fresh.serialize_prefix(prefix)
+            assert transcript.prefix_byte_length(prefix) == fresh.prefix_byte_length(prefix)
+            assert transcript.prefix_raw(prefix) == fresh.prefix_raw(prefix)
+            assert transcript.prefix_fingerprint(prefix) == fresh.prefix_fingerprint(prefix)
+
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("append"), st.lists(st.sampled_from([0, 1, None]), max_size=6)),
+            st.tuples(st.just("truncate_to"), st.integers(0, 8)),
+            st.tuples(st.just("truncate_last"), st.integers(0, 3)),
+        ),
+        max_size=24,
+    ))
+    def test_cache_matches_fresh_transcript_under_edits(self, edits):
+        """Interleaved appends and truncations never serve a stale prefix.
+
+        Every prefix is read (and so cached) after every edit, then compared
+        with a transcript freshly built from the surviving records: a
+        truncation that kept a cached value of a dropped prefix would serve
+        it again once different chunks are appended at that length.
+        """
+        from repro.core.transcript import ChunkRecord, LinkTranscript
+
+        transcript = LinkTranscript(owner=0, neighbor=1)
+        for edit, argument in edits:
+            if edit == "append":
+                transcript.append(ChunkRecord(chunk_index=len(transcript) + 1, link_view=tuple(argument)))
+            elif edit == "truncate_to":
+                transcript.truncate_to(argument)
+            else:
+                transcript.truncate_last(argument)
+            self._assert_cache_matches_fresh(transcript)

@@ -62,11 +62,17 @@ class TestChunkQueries:
             chunked_gossip.chunk(0)
 
     def test_chunk_round_links_match_schedule(self, chunked_gossip):
+        """Every chunk's link slots, grouped by round offset, are the schedule."""
         schedule = chunked_gossip.protocol.schedule()
-        chunk = chunked_gossip.chunks[0]
-        per_round = chunked_gossip.chunk_round_links(chunk.index)
-        for offset, round_index in enumerate(chunk.round_indices):
-            assert per_round[offset] == schedule[round_index]
+        for chunk in chunked_gossip.chunks:
+            per_round = {offset: set() for offset in range(chunk.num_rounds)}
+            for u, v in chunked_gossip.graph.edges:
+                for slot in chunked_gossip.link_slots(chunk.index, u, v):
+                    assert slot.round_index == chunk.round_indices[slot.offset]
+                    per_round[slot.offset].add((slot.sender, slot.receiver))
+            for offset, round_index in enumerate(chunk.round_indices):
+                assert per_round[offset] == set(schedule[round_index])
+                assert len(per_round[offset]) == len(schedule[round_index])
 
     def test_link_slots_cover_all_transmissions(self, chunked_gossip):
         chunk = chunked_gossip.chunks[0]

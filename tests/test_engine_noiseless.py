@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import simulate
+from repro.core.chunking import ChunkedProtocol
+from repro.core.engine import InteractiveCodingSimulator, simulate
 from repro.core.parameters import algorithm_a, algorithm_b, algorithm_c, crs_oblivious_scheme
-from repro.network.topologies import ring_topology, star_topology
+from repro.core.transcript import ChunkRecord
+from repro.network.topologies import line_topology, ring_topology, star_topology
+from repro.protocols.base import PartyLogic, Protocol
 from repro.protocols.random_protocol import RandomProtocol
 from repro.protocols.token_ring import TokenRingProtocol
 
@@ -131,3 +134,64 @@ class TestAblationsNoiseless:
         small_chunks = simulate(gossip_line5, scheme=crs_oblivious_scheme(chunk_multiplier=2), seed=1)
         assert big_chunks.success and small_chunks.success
         assert big_chunks.overhead < small_chunks.overhead
+
+
+class _ScriptedLine2(Protocol):
+    """Two parties, fixed schedule: chunk 1 is rounds 0-2, chunk 2 rounds 3-5
+    (budget 3).  Each party sends ``10 * party + round + (received bits)``
+    mod 2, so a bit depends on what arrived earlier in the same phase."""
+
+    SCHEDULE = [[(0, 1)], [(1, 0)], [(0, 1)], [(1, 0)], [(1, 0)], [(0, 1)]]
+
+    def build_schedule(self):
+        return [list(links) for links in self.SCHEDULE]
+
+    def create_party(self, party):
+        return _ScriptedParty(party)
+
+
+class _ScriptedParty(PartyLogic):
+    def send_bit(self, round_index, receiver, received):
+        return (10 * self.party + round_index + sum(received.values())) % 2
+
+    def compute_output(self, received):
+        return dict(received)
+
+
+class TestSimulationPhase:
+    def test_unequal_transcripts_record_views_and_receptions(self):
+        """Party 0 simulates chunk 2 while party 1 simulates chunk 1.
+
+        Offset 0 schedules only listens (party 0 on round 3, party 1 on
+        round 0), so nobody sends and, without insertions, the round is
+        skipped: both views keep ``None`` there and neither party records a
+        reception.  Offset 1: party 1 sends round 1, party 0 hears it as
+        round 4.  Offset 2: party 0 sends round 5 from a received map that
+        already holds that reception; party 1 hears it as round 2.
+        """
+        protocol = _ScriptedLine2(line_topology(2))
+        simulator = InteractiveCodingSimulator(protocol, scheme=crs_oblivious_scheme(), seed=0)
+        simulator.chunked = ChunkedProtocol(protocol, chunk_budget=3, padding_chunks=1)
+        simulator._initialize_state()
+        first = ChunkRecord(chunk_index=1, link_view=(0, 1, 0), received_by_round=((1, 1),))
+        simulator.runtimes[0].transcripts[1].append(first)
+        for runtime in simulator.runtimes.values():
+            runtime.net_correct = 1
+        rounds_before = simulator.network.current_round
+
+        simulator._simulation_phase(0)
+
+        # Party 1 sends round 1 knowing nothing: (10 + 1 + 0) % 2 = 1.
+        # Party 0 sends round 5 having received (1, 1): 1 and (4, 1): 1,
+        # so (0 + 5 + 2) % 2 = 1.
+        assert simulator.runtimes[0].transcripts[1].records == [
+            first,
+            ChunkRecord(chunk_index=2, link_view=(None, 1, 1), received_by_round=((4, 1),)),
+        ]
+        assert simulator.runtimes[1].transcripts[0].records == [
+            ChunkRecord(chunk_index=1, link_view=(None, 1, 1), received_by_round=((2, 1),)),
+        ]
+        # One ⊥ round plus the three-round window; the silent round is
+        # collapsed rather than exchanged.
+        assert simulator.network.current_round - rounds_before == 4
+        assert simulator.network.idle_rounds_collapsed == 1

@@ -26,7 +26,7 @@ import threading
 
 import pytest
 
-from repro.core.parameters import algorithm_a
+from repro.core.parameters import algorithm_a, crs_oblivious_scheme
 from repro.experiments.factories import RandomNoiseFactory
 from repro.experiments.harness import run_trials
 from repro.experiments.workloads import gossip_workload
@@ -293,6 +293,20 @@ class TestEngineInstrumentation:
         )
         setup_spans = [span for span in spans if span["name"] in ("reference", "setup")]
         assert all(by_id[span["parent_id"]]["name"] == "trial" for span in setup_spans)
+        # algorithm_a exchanges its hash randomness over the noisy network:
+        # one randomness_exchange span per trial, under setup.
+        exchanges = [span for span in spans if span["name"] == "randomness_exchange"]
+        assert len(exchanges) == 1
+        assert by_id[exchanges[0]["parent_id"]]["name"] == "setup"
+        # A CRS scheme reads its randomness from the common string: no span.
+        workload, _, factory = _cell()
+        with use_obs(tracer=tracer):
+            run_trials(
+                workload, crs_oblivious_scheme(), adversary_factory=factory, trials=1,
+                base_seed=3, backend=SerialBackend(), cache=None, store=None,
+            )
+        names = {span["name"] for span in tracer.drain()}
+        assert "setup" in names and "randomness_exchange" not in names
 
 
 class TestStoreAndCli:

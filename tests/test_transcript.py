@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.chunking import ChunkedProtocol
 from repro.core.transcript import ChunkRecord, LinkTranscript
 
 
@@ -86,11 +87,21 @@ class TestLinkTranscript:
         received = transcript.received_map()
         assert received == {(4, 1): 1, (5, 1): 0}
 
-    def test_received_map_respects_chunk_bound(self):
-        transcript = LinkTranscript(0, 1)
-        transcript.append(_record(1, (1,), received=((0, 1),)))
-        transcript.append(_record(2, (1,), received=((9, 0),)))
-        assert transcript.received_map(max_chunk_index=1) == {(0, 1): 1}
+    def test_padding_chunks_have_no_link_slots(self, gossip_clique4):
+        """Why ``received_map`` needs no chunk bound.
+
+        The simulation appends chunk ``len + 1`` to a transcript, so every
+        record past ``num_real_chunks`` is a padding chunk (synthesised ones
+        past ``len(chunks)`` included); padding has no scheduled slot on any
+        link, so such a record contributes no reception.
+        """
+        chunked = ChunkedProtocol(gossip_clique4, chunk_budget=24, padding_chunks=2)
+        assert len(chunked.chunks) == chunked.num_real_chunks + 2
+        for index in range(chunked.num_real_chunks + 1, len(chunked.chunks) + 4):
+            assert chunked.chunk(index).is_padding
+            assert chunked.chunk_bits(index) == 0
+            for u, v in chunked.graph.edges:
+                assert chunked.link_slots(index, u, v) == ()
 
     def test_facing_transcripts_differ_after_corruption(self):
         """A substitution on the wire shows up as a link-view mismatch."""
